@@ -4,35 +4,14 @@
 //   example_parjoind [flags] <workload-file>
 //   example_parjoind [flags] --demo[=<dir>]   (write + serve a sample)
 //
-// Flags:
+// Flags: the resilience and observability flags shared with query_runner
+// (serve/flags.h; they apply to every query, and the trace covers every
+// execution), plus
 //   --plan-cache-capacity=<n>    LRU plan cache entries (default 64, >= 1)
 //   --load-budget=<tuples>       admission budget per batch in
 //                                predicted-load units (0 = one query per
 //                                batch; default 0)
-//   --faults=<seed>              arm per-query deterministic fault
-//                                injection
-//   --checkpoint-interval=<r>    replicate state every r rounds (r >= 0)
-//   --resume                     after a crash, fast-forward the replay
-//                                over rounds the latest interval
-//                                checkpoint covers instead of re-charging
-//                                from round 1
-//   --straggle-threshold=<f>     re-balance a straggled server's round
-//                                load onto the others when the injected
-//                                delay factor is >= f (f > 0; 0 = passive)
-//   --load-budget-factor=<f>     per-round guardrail: abort rounds above
-//                                f x predicted load and degrade (f > 0)
-//   --replan                     on a load-budget abort, re-enter the
-//                                planner with measured loads and run the
-//                                cheapest remaining candidate instead of
-//                                degrading straight to Yannakakis
-//   --trace-out=<file>           write a parjoin-trace-v1 JSONL round
-//                                trace of every execution (obs/trace.h)
 //   --metrics-out=<file>         dump the metrics registry as JSON
-//   --profile=<file>             persistent execution profile: merged
-//                                across runs, written back on exit
-//   --calibration=<file>         planner constant factors fitted from a
-//                                profile (tools: query_runner
-//                                --fit-calibration)
 //
 // The workload grammar lives in serve/spec.h: `register` relations once
 // (load + Distribute + KMV sketches at registration), then `query` blocks
@@ -64,38 +43,25 @@ namespace {
 
 using S = parjoin::CountingSemiring;
 
-// Observability flags: where to write the trace/metrics dumps and which
-// profile/calibration files to use.
-struct ObsPaths {
-  std::string trace_out;
-  std::string metrics_out;
-  std::string profile;
-  std::string calibration;
-};
-
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--plan-cache-capacity=<n>] [--load-budget=<tuples>]"
-               " [--faults=<seed>] [--checkpoint-interval=<r>]"
-               " [--resume] [--straggle-threshold=<f>]"
-               " [--load-budget-factor=<f>] [--replan]"
-               " [--trace-out=<file>]"
-               " [--metrics-out=<file>] [--profile=<file>]"
-               " [--calibration=<file>] <workload-file> | --demo[=<dir>]"
-               "\n";
+            << " [--plan-cache-capacity=<n>] [--load-budget=<tuples>] "
+            << parjoin::serve::kSharedFlagsUsage
+            << " [--metrics-out=<file>] <workload-file> | --demo[=<dir>]\n";
   return 2;
 }
 
 int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
                 parjoin::serve::ServerOptions server_options,
-                const ObsPaths& obs_paths) {
+                const parjoin::serve::ObsFiles& files,
+                const std::string& metrics_out) {
   server_options.p = workload.p;
 
   // Profile store: prior runs merged in, this run's executions recorded,
   // written back on exit — the "gets faster with traffic" loop.
   parjoin::obs::ProfileStore profile;
-  if (!obs_paths.profile.empty()) {
-    auto loaded = parjoin::obs::ProfileStore::LoadOrEmpty(obs_paths.profile);
+  if (!files.profile.empty()) {
+    auto loaded = parjoin::obs::ProfileStore::LoadOrEmpty(files.profile);
     if (!loaded.ok()) {
       std::cerr << "error: " << loaded.status() << "\n";
       return 1;
@@ -105,8 +71,8 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
   }
 
   parjoin::plan::CalibrationTable calibration;
-  if (!obs_paths.calibration.empty()) {
-    auto loaded = parjoin::obs::LoadCalibrationFile(obs_paths.calibration);
+  if (!files.calibration.empty()) {
+    auto loaded = parjoin::obs::LoadCalibrationFile(files.calibration);
     if (!loaded.ok()) {
       std::cerr << "error: " << loaded.status() << "\n";
       return 1;
@@ -116,7 +82,7 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
   }
 
   parjoin::obs::TraceRecorder trace("parjoind");
-  if (!obs_paths.trace_out.empty()) {
+  if (!files.trace_out.empty()) {
     trace.Annotate("p", std::to_string(workload.p));
     server_options.observer = &trace;
   }
@@ -222,8 +188,8 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
     }
   }
 
-  if (!obs_paths.trace_out.empty()) {
-    if (const parjoin::Status s = trace.WriteFile(obs_paths.trace_out);
+  if (!files.trace_out.empty()) {
+    if (const parjoin::Status s = trace.WriteFile(files.trace_out);
         !s.ok()) {
       std::cerr << "error: " << s << "\n";
       return 1;
@@ -231,20 +197,20 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
     std::printf("Trace: %lld round(s), %lld event(s) -> %s\n",
                 static_cast<long long>(trace.rounds().size()),
                 static_cast<long long>(trace.events().size()),
-                obs_paths.trace_out.c_str());
+                files.trace_out.c_str());
   }
-  if (!obs_paths.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     server.SyncMetrics();
     if (const parjoin::Status s =
-            server.metrics_registry().WriteFile(obs_paths.metrics_out);
+            server.metrics_registry().WriteFile(metrics_out);
         !s.ok()) {
       std::cerr << "error: " << s << "\n";
       return 1;
     }
-    std::printf("Metrics -> %s\n", obs_paths.metrics_out.c_str());
+    std::printf("Metrics -> %s\n", metrics_out.c_str());
   }
-  if (!obs_paths.profile.empty()) {
-    if (const parjoin::Status s = profile.SaveFile(obs_paths.profile);
+  if (!files.profile.empty()) {
+    if (const parjoin::Status s = profile.SaveFile(files.profile);
         !s.ok()) {
       std::cerr << "error: " << s << "\n";
       return 1;
@@ -252,7 +218,7 @@ int RunWorkload(const parjoin::serve::WorkloadSpec& workload,
     std::printf("Profile: %lld cell(s), %lld run(s) -> %s\n",
                 static_cast<long long>(profile.cells().size()),
                 static_cast<long long>(profile.total_runs()),
-                obs_paths.profile.c_str());
+                files.profile.c_str());
   }
   return 0;
 }
@@ -327,10 +293,16 @@ int main(int argc, char** argv) {
   bool demo = false;
   std::string demo_dir = "/tmp/parjoind_demo";
   parjoin::serve::ServerOptions server_options;
-  ObsPaths obs_paths;
+  parjoin::serve::ObsFiles files;
+  auto rest = parjoin::serve::ParseSharedFlags(
+      {argv + 1, argv + argc}, &server_options.exec, &files);
+  if (!rest.ok()) {
+    std::cerr << "error: " << rest.status() << "\n";
+    return Usage(argv[0]);
+  }
+  std::string metrics_out;
   std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (const std::string& arg : *rest) {
     std::string value;
     if (arg == "--demo") {
       demo = true;
@@ -357,79 +329,12 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       server_options.load_budget = *budget;
-    } else if (parjoin::serve::MatchFlag(arg, "faults", &value)) {
-      auto seed = parjoin::serve::ParseUint64Flag("faults", value);
-      if (!seed.ok()) {
-        std::cerr << "error: " << seed.status() << "\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.faults.enabled = true;
-      server_options.exec.faults.seed = *seed;
-      if (server_options.exec.checkpoint_interval == 0) {
-        server_options.exec.checkpoint_interval = 2;
-      }
-    } else if (parjoin::serve::MatchFlag(arg, "checkpoint-interval",
-                                         &value)) {
-      auto interval =
-          parjoin::serve::ParseInt64Flag("checkpoint-interval", value);
-      if (!interval.ok() || *interval < 0 || *interval > 1000000) {
-        std::cerr << "error: --checkpoint-interval needs an integer in "
-                     "[0, 1000000], got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.checkpoint_interval =
-          static_cast<int>(*interval);
-    } else if (arg == "--resume") {
-      server_options.exec.resume_from_checkpoint = true;
-    } else if (arg == "--replan") {
-      server_options.exec.replan_on_budget_abort = true;
-    } else if (parjoin::serve::MatchFlag(arg, "straggle-threshold",
-                                         &value)) {
-      auto threshold =
-          parjoin::serve::ParseDoubleFlag("straggle-threshold", value);
-      if (!threshold.ok() || *threshold <= 0) {
-        std::cerr << "error: --straggle-threshold needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.straggle_threshold = *threshold;
-    } else if (parjoin::serve::MatchFlag(arg, "load-budget-factor",
-                                         &value)) {
-      auto factor =
-          parjoin::serve::ParseDoubleFlag("load-budget-factor", value);
-      if (!factor.ok() || *factor <= 0) {
-        std::cerr << "error: --load-budget-factor needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      server_options.exec.load_budget_factor = *factor;
-    } else if (parjoin::serve::MatchFlag(arg, "trace-out", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --trace-out needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.trace_out = value;
     } else if (parjoin::serve::MatchFlag(arg, "metrics-out", &value)) {
       if (value.empty()) {
         std::cerr << "error: --metrics-out needs a file path\n";
         return Usage(argv[0]);
       }
-      obs_paths.metrics_out = value;
-    } else if (parjoin::serve::MatchFlag(arg, "profile", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --profile needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.profile = value;
-    } else if (parjoin::serve::MatchFlag(arg, "calibration", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --calibration needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs_paths.calibration = value;
+      metrics_out = value;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return Usage(argv[0]);
@@ -462,5 +367,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << workload.status() << "\n";
     return 1;
   }
-  return RunWorkload(*workload, std::move(server_options), obs_paths);
+  return RunWorkload(*workload, std::move(server_options), files,
+                     metrics_out);
 }

@@ -4,32 +4,9 @@
 //   example_query_runner [flags] <spec-file>
 //   example_query_runner [flags] --demo[=<dir>]   (write + run a sample)
 //
-// Flags:
+// Flags: the resilience and observability flags shared with parjoind
+// (serve/flags.h), plus
 //   --json                       also dump the plan as JSON
-//   --faults=<seed>              deterministic fault injection (crash +
-//                                straggler + corrupted message per run)
-//   --checkpoint-interval=<r>    replicate state every r rounds (r >= 0)
-//   --resume                     after a crash, fast-forward the replay
-//                                over the rounds the latest interval
-//                                checkpoint covers instead of re-charging
-//                                them (needs --checkpoint-interval > 0)
-//   --straggle-threshold=<f>     actively re-balance injected straggles
-//                                with delay factor >= f onto the other
-//                                live servers (f > 0; default passive)
-//   --load-budget-factor=<f>     abort rounds above f x predicted load and
-//                                degrade onto the Yannakakis baseline
-//                                (f > 0)
-//   --replan                     on a load-budget abort, re-enter the
-//                                planner with the measured load and run
-//                                the cheapest remaining candidate instead
-//                                of degrading immediately
-//   --trace-out=<file>           write a parjoin-trace-v1 JSONL round
-//                                trace of the execution
-//   --profile=<file>             merge predicted-vs-measured samples from
-//                                this run into a parjoin-profile-v1 store
-//                                (created if missing)
-//   --calibration=<file>         load a parjoin-calibration-v1 table and
-//                                plan with profile-calibrated constants
 //   --fit-calibration=<file>     after the run, fit the (updated) profile
 //                                store into a calibration file (needs
 //                                --profile)
@@ -63,28 +40,22 @@ namespace {
 
 using S = parjoin::CountingSemiring;
 
-// Observability file paths (all optional; empty = off).
-struct ObsOptions {
-  std::string trace_out;
-  std::string profile;
-  std::string calibration;
-  std::string fit_calibration;
-};
-
 int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--json] [--faults=<seed>] [--checkpoint-interval=<r>]"
-               " [--resume] [--straggle-threshold=<f>]"
-               " [--load-budget-factor=<f>] [--replan] [--trace-out=<file>]"
-               " [--profile=<file>] [--calibration=<file>]"
-               " [--fit-calibration=<file>]"
-               " <spec-file> | --demo[=<dir>]\n";
+  std::cerr << "usage: " << argv0 << " [--json] "
+            << parjoin::serve::kSharedFlagsUsage
+            << " [--fit-calibration=<file>] <spec-file> | --demo[=<dir>]\n";
   return 2;
 }
 
-int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
-            parjoin::plan::ExecutionOptions exec_options,
-            const ObsOptions& obs) {
+// What main() parsed; passed through to RunSpec unchanged.
+struct Flags {
+  bool dump_json = false;
+  parjoin::plan::ExecutionOptions exec;
+  parjoin::serve::ObsFiles files;
+  std::string fit_calibration;
+};
+
+int RunSpec(const parjoin::serve::QuerySpec& spec, const Flags& flags) {
   std::vector<parjoin::QueryEdge> edges;
   for (const auto& e : spec.edges) edges.push_back({e.u, e.v});
   auto query = parjoin::JoinTree::Create(edges, spec.outputs);
@@ -112,10 +83,12 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
     return 1;
   }
 
+  const parjoin::serve::ObsFiles& files = flags.files;
+  parjoin::plan::ExecutionOptions exec_options = flags.exec;
   parjoin::plan::PlannerOptions planner_options;
   parjoin::plan::CalibrationTable calibration;
-  if (!obs.calibration.empty()) {
-    auto loaded = parjoin::obs::LoadCalibrationFile(obs.calibration);
+  if (!files.calibration.empty()) {
+    auto loaded = parjoin::obs::LoadCalibrationFile(files.calibration);
     if (!loaded.ok()) {
       std::cerr << "error: " << loaded.status() << "\n";
       return 1;
@@ -123,11 +96,11 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
     calibration = std::move(loaded).value();
     planner_options.calibration = &calibration;
     std::cout << "  calibration: " << calibration.entries().size()
-              << " factor(s) from " << obs.calibration << "\n";
+              << " factor(s) from " << files.calibration << "\n";
   }
   parjoin::obs::ProfileStore profile;
-  if (!obs.profile.empty()) {
-    auto loaded = parjoin::obs::ProfileStore::LoadOrEmpty(obs.profile);
+  if (!files.profile.empty()) {
+    auto loaded = parjoin::obs::ProfileStore::LoadOrEmpty(files.profile);
     if (!loaded.ok()) {
       std::cerr << "error: " << loaded.status() << "\n";
       return 1;
@@ -136,7 +109,7 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
     exec_options.profile = &profile;
   }
   parjoin::obs::TraceRecorder trace("query_runner");
-  if (!obs.trace_out.empty()) {
+  if (!files.trace_out.empty()) {
     trace.Annotate("p", std::to_string(spec.p));
     cluster.SetObserver(&trace);
   }
@@ -144,7 +117,7 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
   auto exec = parjoin::plan::PlanAndRun(cluster, std::move(instance),
                                         planner_options, exec_options);
   std::cout << "\n" << exec.plan.ToText() << "\n";
-  if (dump_json) std::cout << exec.plan.ToJson() << "\n\n";
+  if (flags.dump_json) std::cout << exec.plan.ToJson() << "\n\n";
   parjoin::Relation<S> local = exec.result.ToLocal();
   local.Normalize();
 
@@ -166,56 +139,52 @@ int RunSpec(const parjoin::serve::QuerySpec& spec, bool dump_json,
             << " rounds), " << xs.total_comm
             << " tuples moved, critical path " << xs.critical_path
             << " (p = " << spec.p << ")\n";
+  // The per-event trail is already in ToText()'s "recovery:" block.
   if (xs.recovery_comm > 0 || exec.plan.recovery.attempts > 1) {
     const auto& rec = exec.plan.recovery;
     std::cout << "Recovery: " << rec.attempts << " attempt(s), "
-              << rec.crashes << " crash(es), " << xs.retransmits
+              << xs.crashes << " crash(es), " << xs.retransmits
               << " retransmit(s), " << xs.recovery_comm
               << " recovery tuples"
               << (rec.degraded_to_baseline ? ", degraded to baseline" : "")
               << "\n";
-    for (const std::string& event : rec.events) {
-      std::cout << "  - " << event << "\n";
-    }
   }
-  if (!obs.trace_out.empty()) {
-    if (const parjoin::Status saved = trace.WriteFile(obs.trace_out);
+  if (!files.trace_out.empty()) {
+    if (const parjoin::Status saved = trace.WriteFile(files.trace_out);
         !saved.ok()) {
       std::cerr << "error: " << saved << "\n";
       return 1;
     }
     std::cout << "Trace: " << trace.rounds().size() << " round(s), "
-              << trace.events().size() << " event(s) -> " << obs.trace_out
+              << trace.events().size() << " event(s) -> " << files.trace_out
               << "\n";
   }
-  if (!obs.profile.empty()) {
-    if (const parjoin::Status saved = profile.SaveFile(obs.profile);
+  if (!files.profile.empty()) {
+    if (const parjoin::Status saved = profile.SaveFile(files.profile);
         !saved.ok()) {
       std::cerr << "error: " << saved << "\n";
       return 1;
     }
     std::cout << "Profile: " << profile.cells().size() << " cell(s), "
-              << profile.total_runs() << " run(s) -> " << obs.profile
+              << profile.total_runs() << " run(s) -> " << files.profile
               << "\n";
   }
-  if (!obs.fit_calibration.empty()) {
+  if (!flags.fit_calibration.empty()) {
     const parjoin::plan::CalibrationTable fitted =
         parjoin::obs::FitCalibration(profile);
     if (const parjoin::Status saved =
-            parjoin::obs::SaveCalibrationFile(fitted, obs.fit_calibration);
+            parjoin::obs::SaveCalibrationFile(fitted, flags.fit_calibration);
         !saved.ok()) {
       std::cerr << "error: " << saved << "\n";
       return 1;
     }
     std::cout << "Calibration: " << fitted.entries().size()
-              << " factor(s) -> " << obs.fit_calibration << "\n";
+              << " factor(s) -> " << flags.fit_calibration << "\n";
   }
   return 0;
 }
 
-int WriteDemoAndRun(const std::string& dir, bool dump_json,
-                    const parjoin::plan::ExecutionOptions& exec_options,
-                    const ObsOptions& obs) {
+int WriteDemoAndRun(const std::string& dir, const Flags& flags) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -253,100 +222,37 @@ int WriteDemoAndRun(const std::string& dir, bool dump_json,
     return 1;
   }
   std::cout << "Demo spec written to " << dir << "/query.spec\n\n";
-  return RunSpec(*spec, dump_json, exec_options, obs);
+  return RunSpec(*spec, flags);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool dump_json = false;
+  Flags flags;
+  auto rest = parjoin::serve::ParseSharedFlags({argv + 1, argv + argc},
+                                               &flags.exec, &flags.files);
+  if (!rest.ok()) {
+    std::cerr << "error: " << rest.status() << "\n";
+    return Usage(argv[0]);
+  }
   bool demo = false;
   std::string demo_dir = "/tmp/parjoin_demo";
-  parjoin::plan::ExecutionOptions exec_options;
-  ObsOptions obs;
   std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (const std::string& arg : *rest) {
     std::string value;
     if (arg == "--json") {
-      dump_json = true;
+      flags.dump_json = true;
     } else if (arg == "--demo") {
       demo = true;
     } else if (parjoin::serve::MatchFlag(arg, "demo", &value)) {
       demo = true;
       demo_dir = value;
-    } else if (parjoin::serve::MatchFlag(arg, "faults", &value)) {
-      auto seed = parjoin::serve::ParseUint64Flag("faults", value);
-      if (!seed.ok()) {
-        std::cerr << "error: " << seed.status() << "\n";
-        return Usage(argv[0]);
-      }
-      exec_options.faults.enabled = true;
-      exec_options.faults.seed = *seed;
-      if (exec_options.checkpoint_interval == 0) {
-        exec_options.checkpoint_interval = 2;
-      }
-    } else if (parjoin::serve::MatchFlag(arg, "checkpoint-interval",
-                                         &value)) {
-      auto interval =
-          parjoin::serve::ParseInt64Flag("checkpoint-interval", value);
-      if (!interval.ok() || *interval < 0 || *interval > 1000000) {
-        std::cerr << "error: --checkpoint-interval needs an integer in "
-                     "[0, 1000000], got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.checkpoint_interval = static_cast<int>(*interval);
-    } else if (arg == "--resume") {
-      exec_options.resume_from_checkpoint = true;
-    } else if (arg == "--replan") {
-      exec_options.replan_on_budget_abort = true;
-    } else if (parjoin::serve::MatchFlag(arg, "straggle-threshold",
-                                         &value)) {
-      auto threshold =
-          parjoin::serve::ParseDoubleFlag("straggle-threshold", value);
-      if (!threshold.ok() || *threshold <= 0) {
-        std::cerr << "error: --straggle-threshold needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.straggle_threshold = *threshold;
-    } else if (parjoin::serve::MatchFlag(arg, "load-budget-factor",
-                                         &value)) {
-      auto factor =
-          parjoin::serve::ParseDoubleFlag("load-budget-factor", value);
-      if (!factor.ok() || *factor <= 0) {
-        std::cerr << "error: --load-budget-factor needs a number > 0, "
-                     "got '"
-                  << value << "'\n";
-        return Usage(argv[0]);
-      }
-      exec_options.load_budget_factor = *factor;
-    } else if (parjoin::serve::MatchFlag(arg, "trace-out", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --trace-out needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.trace_out = value;
-    } else if (parjoin::serve::MatchFlag(arg, "profile", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --profile needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.profile = value;
-    } else if (parjoin::serve::MatchFlag(arg, "calibration", &value)) {
-      if (value.empty()) {
-        std::cerr << "error: --calibration needs a file path\n";
-        return Usage(argv[0]);
-      }
-      obs.calibration = value;
     } else if (parjoin::serve::MatchFlag(arg, "fit-calibration", &value)) {
       if (value.empty()) {
         std::cerr << "error: --fit-calibration needs a file path\n";
         return Usage(argv[0]);
       }
-      obs.fit_calibration = value;
+      flags.fit_calibration = value;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return Usage(argv[0]);
@@ -354,7 +260,7 @@ int main(int argc, char** argv) {
       args.push_back(arg);
     }
   }
-  if (!obs.fit_calibration.empty() && obs.profile.empty()) {
+  if (!flags.fit_calibration.empty() && flags.files.profile.empty()) {
     std::cerr << "error: --fit-calibration needs --profile\n";
     return Usage(argv[0]);
   }
@@ -363,7 +269,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: --demo takes no spec file\n";
       return Usage(argv[0]);
     }
-    return WriteDemoAndRun(demo_dir, dump_json, exec_options, obs);
+    return WriteDemoAndRun(demo_dir, flags);
   }
   if (args.size() != 1) {
     return Usage(argv[0]);
@@ -381,5 +287,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return RunSpec(*spec, dump_json, exec_options, obs);
+  return RunSpec(*spec, flags);
 }

@@ -36,6 +36,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "parjoin/common/checked_math.h"
@@ -139,19 +140,23 @@ class Cluster {
   // --- Fault injection ------------------------------------------------------
 
   // Generates the deterministic schedule from config.seed and arms it.
-  // Firing state and the fault log start clean. Call after the ResetStats
+  // Firing state and the event list start clean. Call after the ResetStats
   // that precedes the measured run, so scheduled rounds line up.
   void EnableFaults(const FaultConfig& config) {
     plan_ = FaultPlan::Generate(config, live_);
     faults_enabled_ = true;
-    fault_log_.clear();
+    events_.clear();
   }
   void DisableFaults() { faults_enabled_ = false; }
   bool faults_enabled() const { return faults_enabled_; }
 
   const FaultPlan& fault_plan() const { return plan_; }
   FaultPlan& fault_plan() { return plan_; }
-  const std::vector<std::string>& fault_log() const { return fault_log_; }
+
+  // Moves out the fault/recovery events recorded so far, in firing order,
+  // leaving the list empty. This list is the one record of those events:
+  // the observer saw each one as it was appended.
+  std::vector<EventRecord> TakeEvents() { return std::exchange(events_, {}); }
 
   // Exchange computes per-destination checksums only when this is true.
   bool ChecksumVerificationEnabled() const { return faults_enabled_; }
@@ -165,6 +170,13 @@ class Cluster {
   // null check per charged round.
   void SetObserver(RoundObserver* observer) { observer_ = observer; }
   RoundObserver* observer() const { return observer_; }
+
+  // Hands a trace-only notice (checkpoint replication, executor markers)
+  // to the observer, if any. Unlike fault/recovery events it joins no
+  // event list.
+  void Notify(const EventRecord& event) const {
+    if (observer_ != nullptr) observer_->OnEventRecord(event);
+  }
 
   // Called by Exchange with the FNV checksum of each destination's message
   // before delivery is charged. If a corruption event is due, one
@@ -204,15 +216,11 @@ class Cluster {
           CheckedAdd(pending_retransmit_comm_, (*received)[victim]);
       (*received)[victim] = CheckedAdd((*received)[victim],
                                        (*received)[victim]);
-      fault_log_.push_back(
-          "corruption detected at round " +
-          std::to_string(charged_rounds_ + 1) + ": dest " +
-          std::to_string(victim) + " checksum mismatch (mask " +
-          std::to_string(e.corruption_mask) + "), retransmitted");
-      if (observer_ != nullptr) {
-        observer_->OnEvent("retransmit", charged_rounds_ + 1,
-                           fault_log_.back());
-      }
+      Record({"retransmit", charged_rounds_ + 1,
+              "corruption detected at round " +
+                  std::to_string(charged_rounds_ + 1) + ": dest " +
+                  std::to_string(victim) + " checksum mismatch (mask " +
+                  std::to_string(e.corruption_mask) + "), retransmitted"});
       return true;
     }
     return false;
@@ -269,17 +277,12 @@ class Cluster {
     fast_forward_remaining_ = skip_rounds;
     if (skip_rounds > 0) {
       stats_.resumes += 1;
-      fault_log_.push_back("resume: fast-forwarding " +
-                           std::to_string(skip_rounds) +
-                           " checkpointed round(s)");
-      if (observer_ != nullptr) {
-        EventRecord ev;
-        ev.kind = "resume";
-        ev.round = charged_rounds_;
-        ev.detail = fault_log_.back();
-        ev.moved = skip_rounds;
-        observer_->OnEventRecord(ev);
-      }
+      Record({.kind = "resume",
+              .round = charged_rounds_,
+              .detail = "resume: fast-forwarding " +
+                        std::to_string(skip_rounds) +
+                        " checkpointed round(s)",
+              .moved = skip_rounds});
     }
   }
 
@@ -364,6 +367,12 @@ class Cluster {
     std::int64_t effective = 0; // post-re-balance round time
   };
 
+  // Appends a fault/recovery event to the list and notifies the observer.
+  void Record(EventRecord event) {
+    Notify(event);
+    events_.push_back(std::move(event));
+  }
+
   double CapacityOf(size_t s) const {
     return s < capacities_.size() ? capacities_[s] : 1.0;
   }
@@ -438,10 +447,6 @@ class Cluster {
     stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, rb.moved);
     stats_.rebalance_comm = CheckedAdd(stats_.rebalance_comm, rb.moved);
     stats_.critical_path = CheckedAdd(stats_.critical_path, rb.ship_max);
-    fault_log_.push_back(
-        "rebalance at round " + std::to_string(charged_rounds_) +
-        ": shipped " + std::to_string(rb.moved) +
-        " tuple(s) off server " + std::to_string(rb.victim));
     if (observer_ != nullptr) {
       RoundRecord record;
       record.round = charged_rounds_;
@@ -449,15 +454,12 @@ class Cluster {
       record.tuples = rb.moved;
       record.recovery = true;
       observer_->OnRound(record);
-      EventRecord ev;
-      ev.kind = "rebalance";
-      ev.round = charged_rounds_;
-      ev.detail = fault_log_.back();
-      ev.server = rb.victim;
-      ev.factor = rb.factor;
-      ev.moved = rb.moved;
-      observer_->OnEventRecord(ev);
     }
+    Record({"rebalance", charged_rounds_,
+            "rebalance at round " + std::to_string(charged_rounds_) +
+                ": shipped " + std::to_string(rb.moved) +
+                " tuple(s) off server " + std::to_string(rb.victim),
+            rb.victim, rb.factor, rb.moved});
   }
 
   std::vector<std::int64_t> FoldToPhysical(
@@ -525,19 +527,12 @@ class Cluster {
         const bool active = straggle_threshold_ > 0 &&
                             e.factor >= straggle_threshold_ &&
                             physical.size() > 1;
-        fault_log_.push_back(
-            "straggler at round " + std::to_string(charged_rounds_) +
-            ": server " + std::to_string(e.server) + " delayed x" +
-            std::to_string(e.factor) + (active ? ", re-balancing" : ""));
-        if (observer_ != nullptr) {
-          EventRecord ev;
-          ev.kind = "straggler";
-          ev.round = charged_rounds_;
-          ev.detail = fault_log_.back();
-          ev.server = victim;
-          ev.factor = e.factor;
-          observer_->OnEventRecord(ev);
-        }
+        Record({"straggler", charged_rounds_,
+                "straggler at round " + std::to_string(charged_rounds_) +
+                    ": server " + std::to_string(e.server) + " delayed x" +
+                    std::to_string(e.factor) +
+                    (active ? ", re-balancing" : ""),
+                victim, e.factor});
         if (active) {
           Rebalance rb = PlanRebalance(victim, e.factor, physical);
           // A victim with no received tuples has nothing to ship — and
@@ -595,11 +590,8 @@ class Cluster {
       abort.round = charged_rounds_;
       abort.round_load = round_max;
       abort.budget = load_budget_;
-      fault_log_.push_back("budget abort: " + abort.ToString());
-      if (observer_ != nullptr) {
-        observer_->OnEvent("budget_abort", charged_rounds_,
-                           fault_log_.back());
-      }
+      Record({"budget_abort", charged_rounds_,
+              "budget abort: " + abort.ToString()});
       throw abort;
     }
 
@@ -618,11 +610,9 @@ class Cluster {
         abort.round = charged_rounds_;
         abort.server = victim;
         abort.round_load = round_max;
-        fault_log_.push_back("crash: " + abort.ToString() + ", " +
-                             std::to_string(live_) + " servers remain");
-        if (observer_ != nullptr) {
-          observer_->OnEvent("crash", charged_rounds_, fault_log_.back());
-        }
+        Record({"crash", charged_rounds_,
+                "crash: " + abort.ToString() + ", " +
+                    std::to_string(live_) + " servers remain"});
         throw abort;
       }
     }
@@ -656,10 +646,9 @@ class Cluster {
       record.tuples = rep_moved;
       record.recovery = true;
       observer_->OnRound(record);
-      observer_->OnEvent(
-          "checkpoint", charged_rounds_,
-          "interval checkpoint replication, " + std::to_string(rep_moved) +
-              " tuple(s)");
+      Notify({"checkpoint", charged_rounds_,
+              "interval checkpoint replication, " +
+                  std::to_string(rep_moved) + " tuple(s)"});
     }
   }
 
@@ -687,7 +676,7 @@ class Cluster {
 
   bool faults_enabled_ = false;
   FaultPlan plan_;
-  std::vector<std::string> fault_log_;
+  std::vector<EventRecord> events_;  // fault/recovery events, firing order
 
   std::int64_t load_budget_ = 0;
   int ckpt_interval_ = 0;

@@ -56,20 +56,19 @@ class RoundObserver {
   virtual void OnRound(const RoundRecord& record) = 0;
 
   // Discrete events: "straggler", "retransmit", "crash", "budget_abort",
-  // "checkpoint", "rebalance", "resume", plus executor-level markers
-  // ("attempt", "replay", "degrade", "replan", "plan"). `round` is the
-  // charged-round index the event is associated with (0 when not tied to
-  // a round).
-  virtual void OnEvent(const char* kind, int round,
-                       const std::string& detail) = 0;
-
-  // Structured variant: events that carry a payload (straggle victim and
-  // factor, re-balanced tuple count) arrive here. The default forwards to
-  // OnEvent, dropping the payload, so observers that only care about the
-  // textual trail need not override it.
+  // "rebalance", "resume" (the cluster's event list, Cluster::TakeEvents),
+  // plus trace-only notices: "checkpoint" replication and the executor's
+  // markers ("replay", "degrade", "replan", "plan"). The library calls
+  // only this entry point.
   virtual void OnEventRecord(const EventRecord& event) {
     OnEvent(event.kind, event.round, event.detail);
   }
+
+  // Payload-free form, reached only through OnEventRecord's default
+  // forward; observers that only care about the textual trail override
+  // this instead.
+  virtual void OnEvent(const char* /*kind*/, int /*round*/,
+                       const std::string& /*detail*/) {}
 
   // Scope labels: primitives push their name ("sort", "exchange", ...) so
   // round records can be attributed. Scopes nest.

@@ -9,12 +9,13 @@
 // after the call the cluster's live stats hold the execution phase only.
 //
 // Fault tolerance: with a non-default ExecutionOptions, execution runs
-// through ExecuteWithRecovery — inputs are checkpointed (charged), the
+// through TryExecuteWithRecovery — inputs are checkpointed (charged), the
 // chosen algorithm runs under the configured fault plan / load budget, and
 // RoundAbort unwinds back here for replay from the checkpoint (crash) or
 // degradation onto the Yannakakis baseline (budget). The recovery trail is
-// reported in plan.recovery; all resilience traffic lands in
-// execution_stats.recovery_comm.
+// reported in plan.recovery (its events are the cluster's fault/recovery
+// event list); the counters, and all resilience traffic in recovery_comm,
+// land in execution_stats.
 
 #ifndef PARJOIN_PLAN_EXECUTOR_H_
 #define PARJOIN_PLAN_EXECUTOR_H_
@@ -68,7 +69,7 @@ class ExecutionProfileSink {
   virtual void RecordExecution(const ExecutionRecord& record) = 0;
 };
 
-// Resilience knobs for ExecuteWithRecovery / PlanAndRun. All off by
+// Resilience knobs for TryExecuteWithRecovery / PlanAndRun. All off by
 // default: the default-constructed options run the fast path with zero
 // overhead (no checkpoints, no checksums, no budget).
 struct ExecutionOptions {
@@ -229,8 +230,9 @@ struct PlanExecution {
 };
 
 // Runs plan->chosen under the resilience protocol and fills
-// plan->executed / plan->recovery. Expects the cluster's stats freshly
-// reset (charges land in the execution phase).
+// plan->executed, plan->recovery, plan->execution_stats and
+// plan->measured_load. Expects the cluster's stats freshly reset (charges
+// land in the execution phase).
 //
 // Protocol: the distributed inputs are checkpointed (one charged
 // replication round per relation) and the cluster rng is snapshotted, so a
@@ -249,13 +251,16 @@ struct PlanExecution {
 // Exhausting max_attempts is a reportable outcome, not a bug: a serving
 // process must survive one doomed query. The cluster's fault machinery is
 // disarmed, the recovery report is filled with the trail so far, and
-// ResourceExhausted is returned. (ExecuteWithRecovery below keeps the
-// CHECK-flavored contract for one-shot callers.)
+// ResourceExhausted is returned.
 template <SemiringC S>
 StatusOr<DistRelation<S>> TryExecuteWithRecovery(
     mpc::Cluster& cluster, TreeInstance<S> instance,
     const ExecutionOptions& options, PhysicalPlan* plan) {
   plan->executed = plan->chosen;
+  const auto record_stats = [&] {
+    plan->execution_stats = cluster.stats();
+    plan->measured_load = plan->execution_stats.max_load;
+  };
   const bool resilient = options.faults.enabled ||
                          options.checkpoint_interval > 0 ||
                          options.load_budget_factor > 0 ||
@@ -264,6 +269,7 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
   if (!resilient) {
     DistRelation<S> result =
         DispatchAlgorithm(cluster, plan->chosen, std::move(instance));
+    record_stats();
     RecordProfiledExecution(cluster, *plan, options,
                             exec_timer.ElapsedMillis());
     return result;
@@ -305,12 +311,9 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
     cluster.SetStraggleThreshold(0);
     cluster.DisableFaults();
     report.attempts = attempts;
-    report.crashes = cluster.stats().crashes;
-    report.resumes = cluster.stats().resumes;
-    report.resumed_rounds = cluster.stats().resumed_rounds;
-    report.rebalances = cluster.stats().rebalances;
-    report.events = cluster.fault_log();
+    report.events = cluster.TakeEvents();
     plan->executed = algo;
+    record_stats();
   };
   for (int attempt = 1;; ++attempt) {
     if (attempt > options.max_attempts) {
@@ -359,11 +362,9 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
               }
             }
           }
-          if (mpc::RoundObserver* obs = cluster.observer()) {
-            obs->OnEvent("replan", cluster.stats().rounds,
-                         std::string("budget abort: re-planning onto ") +
-                             AlgorithmName(algo));
-          }
+          cluster.Notify({"replan", cluster.stats().rounds,
+                          std::string("budget abort: re-planning onto ") +
+                              AlgorithmName(algo)});
         } else if (algo != Algorithm::kYannakakis &&
                    plan->shape != QueryShape::kSingleEdge) {
           // The budget fired with no candidate left to try; whatever we
@@ -371,11 +372,9 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
           // go).
           algo = Algorithm::kYannakakis;
           report.degraded_to_baseline = true;
-          if (mpc::RoundObserver* obs = cluster.observer()) {
-            obs->OnEvent("degrade", cluster.stats().rounds,
-                         std::string("budget abort: falling back to ") +
-                             AlgorithmName(algo));
-          }
+          cluster.Notify({"degrade", cluster.stats().rounds,
+                          std::string("budget abort: falling back to ") +
+                              AlgorithmName(algo)});
         }
       } else {
         report.backoff_total += backoff;
@@ -384,33 +383,19 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
           resume_rounds = cluster.checkpointed_rounds();
         }
       }
-      if (mpc::RoundObserver* obs = cluster.observer()) {
-        obs->OnEvent("replay", cluster.stats().rounds,
-                     std::string("attempt ") + std::to_string(attempt) +
-                         " aborted; replaying " + AlgorithmName(algo));
-      }
+      cluster.Notify({"replay", cluster.stats().rounds,
+                      std::string("attempt ") + std::to_string(attempt) +
+                          " aborted; replaying " + AlgorithmName(algo)});
       cluster.rng() = rng_snapshot;
     }
   }
 }
 
-// CHECK-flavored wrapper for one-shot callers (PlanAndRun, examples) whose
-// fault schedules are known to converge within max_attempts.
-template <SemiringC S>
-DistRelation<S> ExecuteWithRecovery(mpc::Cluster& cluster,
-                                    TreeInstance<S> instance,
-                                    const ExecutionOptions& options,
-                                    PhysicalPlan* plan) {
-  StatusOr<DistRelation<S>> result = TryExecuteWithRecovery(
-      cluster, std::move(instance), options, plan);
-  CHECK(result.ok()) << result.status();
-  return std::move(result).value();
-}
-
 // Plans the instance, runs the chosen algorithm under the resilience
 // options, and fills the plan's measured side (measured_load, out_actual,
 // planning/execution stats, recovery report, and the executed candidate's
-// measured_load).
+// measured_load). One-shot callers: CHECK-fails when recovery exhausts
+// max_attempts (use TryExecuteWithRecovery to handle that outcome).
 template <SemiringC S>
 PlanExecution<S> PlanAndRun(mpc::Cluster& cluster, TreeInstance<S> instance,
                             const PlannerOptions& options,
@@ -419,20 +404,19 @@ PlanExecution<S> PlanAndRun(mpc::Cluster& cluster, TreeInstance<S> instance,
   PlanExecution<S> exec;
   exec.plan = PlanQuery(cluster, instance, options);
   exec.plan.planning_stats = cluster.stats();
-  if (mpc::RoundObserver* obs = cluster.observer()) {
-    obs->OnEvent("plan", 0,
-                 std::string("chosen ") + AlgorithmName(exec.plan.chosen) +
-                     " for " + QueryShapeName(exec.plan.shape) + " (predicted " +
-                     std::to_string(static_cast<std::int64_t>(
-                         exec.plan.predicted_load)) +
-                     ")");
-  }
+  cluster.Notify({"plan", 0,
+                  std::string("chosen ") + AlgorithmName(exec.plan.chosen) +
+                      " for " + QueryShapeName(exec.plan.shape) +
+                      " (predicted " +
+                      std::to_string(static_cast<std::int64_t>(
+                          exec.plan.predicted_load)) +
+                      ")"});
 
   cluster.ResetStats();
-  exec.result = ExecuteWithRecovery(cluster, std::move(instance),
-                                    exec_options, &exec.plan);
-  exec.plan.execution_stats = cluster.stats();
-  exec.plan.measured_load = exec.plan.execution_stats.max_load;
+  StatusOr<DistRelation<S>> result = TryExecuteWithRecovery(
+      cluster, std::move(instance), exec_options, &exec.plan);
+  CHECK(result.ok()) << result.status();
+  exec.result = std::move(result).value();
   exec.plan.out_actual = exec.result.TotalSize();
   if (Candidate* c = exec.plan.MutableCandidateFor(exec.plan.executed)) {
     c->measured_load = exec.plan.measured_load;

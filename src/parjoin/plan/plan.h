@@ -75,10 +75,11 @@ struct Candidate {
 };
 
 // What the recovery loop did to get the result (plan/executor.h). Attempts
-// count dispatches of the algorithm: 1 means the first try succeeded.
+// count dispatches of the algorithm: 1 means the first try succeeded. The
+// cluster-side counters (crashes, resumes, re-balances, retransmits) live
+// in PhysicalPlan::execution_stats, not here.
 struct RecoveryReport {
   int attempts = 1;
-  int crashes = 0;
   int budget_aborts = 0;
   // True when the load-budget guardrail abandoned the chosen algorithm and
   // the run finished on the Yannakakis baseline.
@@ -86,14 +87,10 @@ struct RecoveryReport {
   // Simulated backoff charged before replays (units of rounds; recorded,
   // never slept).
   std::int64_t backoff_total = 0;
-  // Fine-grained recovery: replays that resumed from an interval
-  // checkpoint, rounds those resumes fast-forwarded over, re-balance
-  // rounds charged against stragglers, and budget-abort re-plans.
-  int resumes = 0;
-  int resumed_rounds = 0;
-  int rebalances = 0;
-  int replans = 0;
-  std::vector<std::string> events;  // cluster fault log, in firing order
+  int replans = 0;  // budget aborts answered by re-planning
+  // The cluster's fault/recovery events, in firing order
+  // (mpc::Cluster::TakeEvents).
+  std::vector<mpc::EventRecord> events;
 };
 
 struct PhysicalPlan {

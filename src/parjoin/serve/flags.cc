@@ -2,6 +2,9 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <utility>
+
+#include "parjoin/plan/executor.h"
 
 namespace parjoin {
 namespace serve {
@@ -105,6 +108,83 @@ StatusOr<std::uint64_t> ParseUint64Flag(const std::string& flag,
 StatusOr<double> ParseDoubleFlag(const std::string& flag,
                                  const std::string& value) {
   return Contextualize(flag, ParseDoubleText(value), "a number");
+}
+
+namespace {
+
+StatusOr<double> ParsePositiveFlag(const std::string& flag,
+                                   const std::string& value) {
+  StatusOr<double> parsed = ParseDoubleText(value);
+  if (!parsed.ok() || !(*parsed > 0)) {
+    return InvalidArgumentError("--" + flag + " needs a number > 0, got '" +
+                                value + "'");
+  }
+  return parsed;
+}
+
+}  // namespace
+
+StatusOr<std::vector<std::string>> ParseSharedFlags(
+    const std::vector<std::string>& args, plan::ExecutionOptions* exec,
+    ObsFiles* files) {
+  const std::pair<const char*, std::string*> path_flags[] = {
+      {"trace-out", &files->trace_out},
+      {"profile", &files->profile},
+      {"calibration", &files->calibration}};
+  std::vector<std::string> rest;
+  bool interval_given = false;
+  for (const std::string& arg : args) {
+    std::string value;
+    if (arg == "--resume") {
+      exec->resume_from_checkpoint = true;
+    } else if (arg == "--replan") {
+      exec->replan_on_budget_abort = true;
+    } else if (MatchFlag(arg, "faults", &value)) {
+      PARJOIN_ASSIGN_OR_RETURN(exec->faults.seed,
+                               ParseUint64Flag("faults", value));
+      exec->faults.enabled = true;
+    } else if (MatchFlag(arg, "checkpoint-interval", &value)) {
+      StatusOr<std::int64_t> interval = ParseInt64Text(value);
+      if (!interval.ok() || *interval < 0 || *interval > 1000000) {
+        return InvalidArgumentError(
+            "--checkpoint-interval needs an integer in [0, 1000000], got '" +
+            value + "'");
+      }
+      exec->checkpoint_interval = static_cast<int>(*interval);
+      interval_given = true;
+    } else if (MatchFlag(arg, "straggle-threshold", &value)) {
+      PARJOIN_ASSIGN_OR_RETURN(exec->straggle_threshold,
+                               ParsePositiveFlag("straggle-threshold", value));
+    } else if (MatchFlag(arg, "load-budget-factor", &value)) {
+      PARJOIN_ASSIGN_OR_RETURN(exec->load_budget_factor,
+                               ParsePositiveFlag("load-budget-factor", value));
+    } else {
+      bool is_path = false;
+      for (const auto& [name, path] : path_flags) {
+        if (!MatchFlag(arg, name, &value)) continue;
+        if (value.empty()) {
+          return InvalidArgumentError(std::string("--") + name +
+                                      " needs a file path");
+        }
+        *path = value;
+        is_path = true;
+      }
+      if (!is_path) rest.push_back(arg);
+    }
+  }
+  if (exec->faults.enabled && !interval_given) exec->checkpoint_interval = 2;
+  if (exec->resume_from_checkpoint && exec->checkpoint_interval == 0) {
+    return InvalidArgumentError(
+        "--resume needs a checkpoint interval > 0 (--checkpoint-interval=<r>"
+        ", or --faults alone, which implies 2)");
+  }
+  if (exec->replan_on_budget_abort && exec->load_budget_factor == 0) {
+    return InvalidArgumentError("--replan needs --load-budget-factor");
+  }
+  if (exec->straggle_threshold > 0 && !exec->faults.enabled) {
+    return InvalidArgumentError("--straggle-threshold needs --faults");
+  }
+  return rest;
 }
 
 }  // namespace serve

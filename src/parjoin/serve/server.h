@@ -439,11 +439,9 @@ class Server {
     }
     StatusOr<DistRelation<S>> result = plan::TryExecuteWithRecovery(
         cluster, std::move(*adm.instance), adm.exec, &out.plan);
-    out.plan.execution_stats = cluster.stats();
-    out.plan.measured_load = out.plan.execution_stats.max_load;
-    if (out.plan.recovery.crashes > 0) {
-      registry_metrics_.GetCounter("recovery_crashes")
-          ->Increment(out.plan.recovery.crashes);
+    const mpc::Cluster::Stats& xs = out.plan.execution_stats;
+    if (xs.crashes > 0) {
+      registry_metrics_.GetCounter("recovery_crashes")->Increment(xs.crashes);
     }
     if (out.plan.recovery.attempts > 1) {
       registry_metrics_.GetCounter("recovery_replays")
@@ -455,33 +453,32 @@ class Server {
     // Fine-grained recovery ledger, exported per query so --metrics-out
     // carries the full recovery trail (resume/re-balance/re-plan counters
     // plus the charged recovery traffic behind them).
-    if (out.plan.recovery.resumes > 0) {
-      registry_metrics_.GetCounter("recovery_resumes")
-          ->Increment(out.plan.recovery.resumes);
+    if (xs.resumes > 0) {
+      registry_metrics_.GetCounter("recovery_resumes")->Increment(xs.resumes);
       registry_metrics_.GetCounter("recovery_resumed_rounds")
-          ->Increment(out.plan.recovery.resumed_rounds);
+          ->Increment(xs.resumed_rounds);
     }
-    if (out.plan.recovery.rebalances > 0) {
+    if (xs.rebalances > 0) {
       registry_metrics_.GetCounter("recovery_rebalances")
-          ->Increment(out.plan.recovery.rebalances);
+          ->Increment(xs.rebalances);
       registry_metrics_.GetCounter("recovery_rebalance_comm")
-          ->Increment(out.plan.execution_stats.rebalance_comm);
+          ->Increment(xs.rebalance_comm);
     }
     if (out.plan.recovery.replans > 0) {
       registry_metrics_.GetCounter("recovery_replans")
           ->Increment(out.plan.recovery.replans);
     }
-    if (out.plan.execution_stats.recovery_comm > 0) {
+    if (xs.recovery_comm > 0) {
       registry_metrics_.GetCounter("recovery_comm")
-          ->Increment(out.plan.execution_stats.recovery_comm);
+          ->Increment(xs.recovery_comm);
     }
-    if (out.plan.execution_stats.retransmits > 0) {
+    if (xs.retransmits > 0) {
       registry_metrics_.GetCounter("recovery_retransmits")
-          ->Increment(out.plan.execution_stats.retransmits);
+          ->Increment(xs.retransmits);
     }
-    if (out.plan.execution_stats.critical_path > 0) {
+    if (xs.critical_path > 0) {
       registry_metrics_.GetCounter("critical_path_total")
-          ->Increment(out.plan.execution_stats.critical_path);
+          ->Increment(xs.critical_path);
     }
     if (!result.ok()) {
       // The cluster (possibly crash-shrunken) dies with this scope; the

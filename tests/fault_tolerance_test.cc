@@ -152,15 +152,15 @@ void ExpectRecoversIdentically(const MakeInstance& make_instance,
 
   const auto& stats = exec.plan.execution_stats;
   const auto& recovery = exec.plan.recovery;
-  EXPECT_GE(recovery.crashes, 1) << what;
+  EXPECT_GE(stats.crashes, 1) << what;
   EXPECT_GE(recovery.attempts, 2) << what;
-  EXPECT_EQ(cluster.p(), p - recovery.crashes) << what;
+  EXPECT_EQ(cluster.p(), p - stats.crashes) << what;
   EXPECT_GE(stats.retransmits, 1) << what;
   EXPECT_GT(stats.recovery_comm, 0) << what;
   EXPECT_GE(stats.critical_path, stats.max_load) << what;
   bool straggled = false;
-  for (const std::string& event : recovery.events) {
-    if (event.find("straggler") != std::string::npos) straggled = true;
+  for (const mpc::EventRecord& event : recovery.events) {
+    if (std::string(event.kind) == "straggler") straggled = true;
   }
   EXPECT_TRUE(straggled) << what << ": no straggler event fired\n"
                          << exec.plan.ToText();
@@ -300,8 +300,13 @@ TEST(FaultStragglerTest, CriticalPathStretchesByTheDelayFactor) {
   cluster.ChargeUniformRound(10);  // normal: contributes 10
   EXPECT_EQ(cluster.stats().max_load, 10);
   EXPECT_EQ(cluster.stats().critical_path, 40);
-  ASSERT_EQ(cluster.fault_log().size(), 1u);
-  EXPECT_NE(cluster.fault_log()[0].find("straggler"), std::string::npos);
+  const std::vector<mpc::EventRecord> events = cluster.TakeEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].kind, "straggler");
+  EXPECT_EQ(events[0].round, 1);
+  EXPECT_EQ(events[0].detail.rfind("straggler at round 1: server ", 0), 0u)
+      << events[0].detail;
+  EXPECT_TRUE(cluster.TakeEvents().empty());  // moved out
 }
 
 TEST(FaultStragglerTest, FaultFreeCriticalPathIsSumOfRoundMaxima) {
@@ -402,7 +407,7 @@ TEST(FaultRecoveryTest, SingleServerPlanAndRunCompletesWithFaultsArmed) {
   EXPECT_TRUE(got == expected)
       << "got " << got.size() << " expected " << expected.size();
   EXPECT_EQ(cluster.p(), 1);
-  EXPECT_EQ(exec.plan.recovery.crashes, 0);
+  EXPECT_EQ(exec.plan.execution_stats.crashes, 0);
   EXPECT_EQ(exec.plan.recovery.attempts, 1);
 }
 
@@ -423,15 +428,16 @@ TEST(LoadBudgetTest, ExceededBudgetDegradesOntoYannakakis) {
   plan::ExecutionOptions options;
   options.load_budget_factor = 1.0;
   cluster.ResetStats();
-  Relation<S> got =
-      plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan)
-          .ToLocal();
+  auto result = plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                             options, &plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  Relation<S> got = result->ToLocal();
   got.Normalize();
 
   EXPECT_TRUE(plan.recovery.degraded_to_baseline) << plan.ToText();
   EXPECT_EQ(plan.recovery.budget_aborts, 1);
   EXPECT_EQ(plan.executed, plan::Algorithm::kYannakakis);
-  EXPECT_EQ(plan.recovery.crashes, 0);
+  EXPECT_EQ(plan.execution_stats.crashes, 0);
   EXPECT_TRUE(got == expected)
       << "got " << got.size() << " expected " << expected.size();
 }
@@ -552,11 +558,11 @@ void ExpectResumeSavesReplayedRounds(const MakeInstance& make_instance,
   const auto [replay_out, replay_plan] = faulted(/*resume=*/false);
   const auto [resume_out, resume_plan] = faulted(/*resume=*/true);
 
-  ASSERT_EQ(replay_plan.recovery.crashes, 1) << what;
-  ASSERT_EQ(resume_plan.recovery.crashes, 1) << what;
-  EXPECT_EQ(replay_plan.recovery.resumes, 0) << what;
-  EXPECT_EQ(resume_plan.recovery.resumes, 1) << what;
-  EXPECT_GE(resume_plan.recovery.resumed_rounds, 2) << what;
+  ASSERT_EQ(replay_plan.execution_stats.crashes, 1) << what;
+  ASSERT_EQ(resume_plan.execution_stats.crashes, 1) << what;
+  EXPECT_EQ(replay_plan.execution_stats.resumes, 0) << what;
+  EXPECT_EQ(resume_plan.execution_stats.resumes, 1) << what;
+  EXPECT_GE(resume_plan.execution_stats.resumed_rounds, 2) << what;
 
   EXPECT_TRUE(resume_out == baseline)
       << what << ": resumed output diverged from fault-free baseline\n"
@@ -660,10 +666,10 @@ TEST(ResumeRecoveryTest, CrashDuringResumedRunResumesAgain) {
   got.Normalize();
 
   EXPECT_TRUE(got == baseline) << exec.plan.ToText();
-  EXPECT_EQ(exec.plan.recovery.crashes, 2);
+  EXPECT_EQ(exec.plan.execution_stats.crashes, 2);
   EXPECT_EQ(exec.plan.recovery.attempts, 3);
-  EXPECT_EQ(exec.plan.recovery.resumes, 2);
-  EXPECT_GE(exec.plan.recovery.resumed_rounds, 4);
+  EXPECT_EQ(exec.plan.execution_stats.resumes, 2);
+  EXPECT_GE(exec.plan.execution_stats.resumed_rounds, 4);
   EXPECT_EQ(cluster.p(), 6);
 }
 
@@ -699,11 +705,15 @@ TEST(StragglerRebalanceTest, ThresholdShipsLoadAndBoundsCriticalPath) {
   EXPECT_EQ(active.stats().recovery_comm, 10);
   EXPECT_EQ(active.stats().rounds, 2);  // straggled round + re-balance
   EXPECT_LT(active.stats().critical_path, passive.stats().critical_path);
-  bool logged = false;
-  for (const std::string& e : active.fault_log()) {
-    if (e.find("rebalance") != std::string::npos) logged = true;
-  }
-  EXPECT_TRUE(logged);
+  const std::vector<mpc::EventRecord> events = active.TakeEvents();
+  ASSERT_EQ(events.size(), 2u);  // the straggler, then its re-balance
+  EXPECT_STREQ(events[0].kind, "straggler");
+  EXPECT_STREQ(events[1].kind, "rebalance");
+  EXPECT_EQ(events[1].round, 2);
+  EXPECT_EQ(events[1].detail,
+            "rebalance at round 2: shipped 10 tuple(s) off server " +
+                std::to_string(events[1].server));
+  EXPECT_EQ(events[1].moved, 10);
 }
 
 TEST(StragglerRebalanceTest, BelowThresholdStaysPassive) {
@@ -756,8 +766,8 @@ TEST(StragglerRebalanceTest, EndToEndRebalancePreservesOutput) {
   const auto [passive_out, passive_plan] = faulted(/*threshold=*/0);
   const auto [active_out, active_plan] = faulted(/*threshold=*/4.0);
 
-  EXPECT_EQ(passive_plan.recovery.rebalances, 0);
-  EXPECT_GE(active_plan.recovery.rebalances, 1);
+  EXPECT_EQ(passive_plan.execution_stats.rebalances, 0);
+  EXPECT_GE(active_plan.execution_stats.rebalances, 1);
   EXPECT_GT(active_plan.execution_stats.rebalance_comm, 0);
   // Re-balancing only redistributes accounting, never data: both faulted
   // runs must still match the fault-free baseline bit-for-bit.
@@ -789,9 +799,10 @@ TEST(ReplanTest, BudgetAbortReplansInsteadOfDegrading) {
   options.load_budget_factor = 4.0;
   options.replan_on_budget_abort = true;
   cluster.ResetStats();
-  Relation<S> got =
-      plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan)
-          .ToLocal();
+  auto result = plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                             options, &plan);
+  ASSERT_TRUE(result.ok()) << result.status();
+  Relation<S> got = result->ToLocal();
   got.Normalize();
 
   EXPECT_GE(plan.recovery.replans, 1) << plan.ToText();
@@ -815,7 +826,9 @@ TEST(ReplanTest, ReplanOffKeepsTheDegradePath) {
   plan::ExecutionOptions options;
   options.load_budget_factor = 1.0;
   cluster.ResetStats();
-  plan::ExecuteWithRecovery(cluster, std::move(instance), options, &plan);
+  ASSERT_TRUE(plan::TryExecuteWithRecovery(cluster, std::move(instance),
+                                           options, &plan)
+                  .ok());
   EXPECT_TRUE(plan.recovery.degraded_to_baseline);
   EXPECT_EQ(plan.recovery.replans, 0);
   EXPECT_EQ(plan.executed, plan::Algorithm::kYannakakis);

@@ -8,6 +8,7 @@
 //    calibration file — and the fitted factors are the run-weighted
 //    geometric mean of measured/predicted, applied by the planner.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "parjoin/plan/cost_model.h"
 #include "parjoin/plan/executor.h"
 #include "parjoin/semiring/semirings.h"
+#include "parjoin/serve/server.h"
 #include "parjoin/workload/generators.h"
 
 namespace parjoin {
@@ -117,6 +119,94 @@ TEST(TraceTest, TracingNeverPerturbsRecovery) {
     EXPECT_TRUE(saw_recovery_round);
     EXPECT_FALSE(trace.events().empty());
   }
+}
+
+// Fault and recovery events have one record, the cluster's event list:
+// the report, the trace and the serving metrics must all render it. One
+// faulted query through serve::Server (crash after a checkpoint, resumed;
+// a straggle above the re-balance threshold; a corrupted message), traced.
+TEST(TraceTest, OneEventListFeedsReportTraceAndMetrics) {
+  obs::TraceRecorder trace("one_list");
+  serve::ServerOptions options;
+  options.p = 8;
+  options.observer = &trace;
+  options.exec.faults.enabled = true;
+  options.exec.faults.seed = 7;
+  options.exec.faults.crash_rounds = {6};
+  options.exec.faults.straggle_min = 6.0;
+  options.exec.faults.straggle_max = 6.0;
+  options.exec.checkpoint_interval = 2;
+  options.exec.resume_from_checkpoint = true;
+  options.exec.straggle_threshold = 4.0;
+  serve::Server<S> server(options);
+  Rng rng(7);
+  const auto add = [&](const char* name, AttrId u, AttrId v) {
+    CHECK_OK(server.RegisterRelation(
+        name, internal_workload::RandomBinaryRelation<S>(
+                  Schema{u, v}, /*count=*/600, /*dom_u=*/60, /*dom_v=*/40,
+                  /*skew_v=*/0.3, /*max_weight=*/5, rng)));
+  };
+  add("ab", 0, 1);
+  add("bc", 1, 2);
+  serve::QuerySpec spec;
+  spec.p = 8;
+  spec.edges = {{0, 1, "@ab"}, {1, 2, "@bc"}};
+  spec.outputs = {0, 2};
+  CHECK_OK(server.Enqueue(spec, "faulted"));
+  const std::vector<serve::Server<S>::Outcome> outcomes = server.Drain();
+  ASSERT_EQ(outcomes.size(), 1u);
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status;
+  const plan::PhysicalPlan& plan = outcomes[0].plan;
+  const std::vector<mpc::EventRecord>& events = plan.recovery.events;
+
+  // The trace carries the same events in the same order, interleaved with
+  // trace-only notices that the report leaves out.
+  const std::vector<std::string> trace_only = {"checkpoint", "plan",
+                                               "replay", "replan", "degrade"};
+  std::vector<obs::TraceEvent> traced;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (std::find(trace_only.begin(), trace_only.end(), e.kind) ==
+        trace_only.end()) {
+      traced.push_back(e);
+    }
+  }
+  ASSERT_EQ(traced.size(), events.size()) << plan.ToText();
+  std::vector<std::string> kinds;
+  for (size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(traced[i].kind, events[i].kind);
+    EXPECT_EQ(traced[i].round, events[i].round);
+    EXPECT_EQ(traced[i].detail, events[i].detail);
+    EXPECT_EQ(traced[i].server, events[i].server);
+    EXPECT_EQ(traced[i].factor, events[i].factor);
+    EXPECT_EQ(traced[i].moved, events[i].moved);
+    kinds.push_back(events[i].kind);
+    // The text report lists every event's detail.
+    EXPECT_NE(plan.ToText().find("  - " + events[i].detail + "\n"),
+              std::string::npos);
+  }
+  for (const char* kind : {"crash", "resume", "straggler", "rebalance",
+                           "retransmit"}) {
+    EXPECT_NE(std::find(kinds.begin(), kinds.end(), kind), kinds.end())
+        << "no " << kind << " event\n" << plan.ToText();
+  }
+
+  // The serving metrics count the same facts as execution_stats.
+  const mpc::Cluster::Stats& xs = plan.execution_stats;
+  obs::MetricsRegistry& reg = server.metrics_registry();
+  EXPECT_EQ(reg.GetCounter("recovery_crashes")->Value(), xs.crashes);
+  EXPECT_EQ(reg.GetCounter("recovery_resumes")->Value(), xs.resumes);
+  EXPECT_EQ(reg.GetCounter("recovery_resumed_rounds")->Value(),
+            xs.resumed_rounds);
+  EXPECT_EQ(reg.GetCounter("recovery_rebalances")->Value(), xs.rebalances);
+  EXPECT_EQ(reg.GetCounter("recovery_rebalance_comm")->Value(),
+            xs.rebalance_comm);
+  EXPECT_EQ(reg.GetCounter("recovery_comm")->Value(), xs.recovery_comm);
+  EXPECT_EQ(reg.GetCounter("recovery_retransmits")->Value(),
+            xs.retransmits);
+  EXPECT_EQ(reg.GetCounter("critical_path_total")->Value(),
+            xs.critical_path);
+  EXPECT_EQ(xs.max_load, plan.measured_load);
 }
 
 TEST(TraceTest, JsonlRoundTripsExactly) {

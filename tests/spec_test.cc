@@ -1,14 +1,17 @@
 // Negative-path coverage for the query-ingress layer: the shared spec /
-// workload parser (serve/spec) and the checked numeric flag helpers
-// (serve/flags). Every malformed directive must surface as a typed,
-// line-numbered Status — the pre-fix parser accepted `output x` as an
-// EMPTY output list, `result` with no path, and `p 8 junk`, and the
-// pre-fix flag parsing turned `--faults=abc` into 0.
+// workload parser (serve/spec), the checked numeric flag helpers and the
+// shared driver flag parser (serve/flags). Every malformed directive must
+// surface as a typed, line-numbered Status — the pre-fix parser accepted
+// `output x` as an EMPTY output list, `result` with no path, and `p 8
+// junk`, and the pre-fix flag parsing turned `--faults=abc` into 0.
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "parjoin/plan/executor.h"
 #include "parjoin/serve/flags.h"
 #include "parjoin/serve/spec.h"
 
@@ -340,6 +343,106 @@ TEST(FlagsParse, FlagWrappersNameTheFlagInErrors) {
   ASSERT_FALSE(bad_double.ok());
   EXPECT_NE(bad_double.status().message().find("--load-budget-factor"),
             std::string::npos);
+}
+
+// --- flags shared by query_runner and parjoind -------------------------------
+
+// Every ExecutionOptions field a shared flag can set.
+void ExpectSameExecOptions(const plan::ExecutionOptions& a,
+                           const plan::ExecutionOptions& b) {
+  EXPECT_EQ(a.faults.enabled, b.faults.enabled);
+  EXPECT_EQ(a.faults.seed, b.faults.seed);
+  EXPECT_EQ(a.checkpoint_interval, b.checkpoint_interval);
+  EXPECT_EQ(a.resume_from_checkpoint, b.resume_from_checkpoint);
+  EXPECT_EQ(a.straggle_threshold, b.straggle_threshold);
+  EXPECT_EQ(a.load_budget_factor, b.load_budget_factor);
+  EXPECT_EQ(a.replan_on_budget_abort, b.replan_on_budget_abort);
+}
+
+StatusOr<plan::ExecutionOptions> ParseExec(
+    const std::vector<std::string>& args) {
+  plan::ExecutionOptions exec;
+  ObsFiles files;
+  PARJOIN_ASSIGN_OR_RETURN(std::vector<std::string> rest,
+                           ParseSharedFlags(args, &exec, &files));
+  EXPECT_TRUE(rest.empty());
+  return exec;
+}
+
+TEST(SharedFlags, FlagOrderDoesNotMatter) {
+  // --faults implies interval 2 only when --checkpoint-interval is absent,
+  // whichever comes first.
+  auto a = ParseExec({"--faults=7", "--checkpoint-interval=0"});
+  auto b = ParseExec({"--checkpoint-interval=0", "--faults=7"});
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(a->checkpoint_interval, 0);
+  ExpectSameExecOptions(*a, *b);
+
+  auto c = ParseExec({"--straggle-threshold=4", "--resume", "--faults=7",
+                      "--load-budget-factor=8", "--replan"});
+  auto d = ParseExec({"--replan", "--load-budget-factor=8", "--faults=7",
+                      "--resume", "--straggle-threshold=4"});
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_TRUE(c->faults.enabled);
+  EXPECT_EQ(c->faults.seed, 7u);
+  EXPECT_EQ(c->checkpoint_interval, 2);
+  EXPECT_TRUE(c->resume_from_checkpoint);
+  EXPECT_EQ(c->straggle_threshold, 4.0);
+  EXPECT_EQ(c->load_budget_factor, 8.0);
+  EXPECT_TRUE(c->replan_on_budget_abort);
+  ExpectSameExecOptions(*c, *d);
+}
+
+TEST(SharedFlags, FillsPathsAndPassesOtherArgumentsThrough) {
+  plan::ExecutionOptions exec;
+  ObsFiles files;
+  auto rest = ParseSharedFlags(
+      {"--json", "--trace-out=t.jsonl", "spec", "--profile=p.json",
+       "--calibration=c.json", "--fit-calibration=f.json",
+       "--load-budget=5"},
+      &exec, &files);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_EQ(*rest, (std::vector<std::string>{"--json", "spec",
+                                             "--fit-calibration=f.json",
+                                             "--load-budget=5"}));
+  EXPECT_EQ(files.trace_out, "t.jsonl");
+  EXPECT_EQ(files.profile, "p.json");
+  EXPECT_EQ(files.calibration, "c.json");
+  EXPECT_FALSE(exec.faults.enabled);
+  EXPECT_EQ(exec.checkpoint_interval, 0);
+}
+
+TEST(SharedFlags, RejectsBadValuesAndFlagsThatCannotTakeEffect) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      cases = {
+          {{"--faults=abc"}, "--faults needs an unsigned integer"},
+          {{"--checkpoint-interval=-3"},
+           "--checkpoint-interval needs an integer in [0, 1000000]"},
+          {{"--straggle-threshold=0", "--faults=1"},
+           "--straggle-threshold needs a number > 0"},
+          {{"--load-budget-factor=nan"},
+           "--load-budget-factor needs a number > 0"},
+          {{"--trace-out="}, "--trace-out needs a file path"},
+          {{"--profile="}, "--profile needs a file path"},
+          {{"--calibration="}, "--calibration needs a file path"},
+          {{"--resume"}, "--resume needs a checkpoint interval > 0"},
+          {{"--faults=7", "--checkpoint-interval=0", "--resume"},
+           "--resume needs a checkpoint interval > 0"},
+          {{"--replan"}, "--replan needs --load-budget-factor"},
+          {{"--straggle-threshold=4"}, "--straggle-threshold needs --faults"},
+      };
+  for (const auto& [args, needle] : cases) {
+    auto parsed = ParseExec(args);
+    ASSERT_FALSE(parsed.ok()) << args[0];
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(needle), std::string::npos)
+        << parsed.status();
+  }
+  // The accepted spellings of the same flags.
+  EXPECT_TRUE(ParseExec({"--checkpoint-interval=3", "--resume"}).ok());
+  EXPECT_TRUE(ParseExec({"--faults=7", "--resume"}).ok());
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,11 +260,48 @@ void PrintLinearLoadTable() {
 using PairRuns =
     std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>>;
 
+// The E6 ablation baseline: Sort's original final merge, a pairwise
+// ladder over whole runs. The merges of one level are independent and run
+// under ParallelFor, so its late levels merge ever fewer, ever larger
+// pairs and past level log2(threads) most workers idle. Same stable order
+// as mpc::internal_primitives::MergeSortedRuns (ties resolve to the lower
+// run index); elements are moved, never copied.
+template <typename T, typename Less>
+std::vector<T> MergeSortedRunsPairwise(std::vector<std::vector<T>> runs,
+                                       Less less) {
+  if (runs.empty()) return {};
+  while (runs.size() > 1) {
+    const int pairs = static_cast<int>(runs.size() / 2);
+    std::vector<std::vector<T>> next((runs.size() + 1) / 2);
+    ParallelFor(pairs, [&](int i) {
+      auto& a = runs[static_cast<size_t>(2 * i)];
+      auto& b = runs[static_cast<size_t>(2 * i + 1)];
+      std::vector<T> merged;
+      merged.reserve(a.size() + b.size());
+      // std::merge takes from the first range on ties, so the lower part
+      // index wins — exactly the stable order of the concatenation.
+      std::merge(std::make_move_iterator(a.begin()),
+                 std::make_move_iterator(a.end()),
+                 std::make_move_iterator(b.begin()),
+                 std::make_move_iterator(b.end()),
+                 std::back_inserter(merged), less);
+      a.clear();
+      a.shrink_to_fit();
+      b.clear();
+      b.shrink_to_fit();
+      next[static_cast<size_t>(i)] = std::move(merged);
+    });
+    if (runs.size() % 2 == 1) next.back() = std::move(runs.back());
+    runs = std::move(next);
+  }
+  return std::move(runs.front());
+}
+
 // (a) The same presorted runs merged by the old pairwise ladder vs the
 // splitter-partitioned multiway merge, at forced thread counts. The
 // outputs are verified identical every time — the strategies may differ
-// only in wall time (at threads=1 the splitter path falls back to the
-// ladder, so there is nothing to regress).
+// only in wall time (at threads=1 MergeSortedRuns merges one chunk with its
+// own span ladder, which frees each run as it consumes it).
 void RunMergeAblation(std::vector<bench::BenchJsonEntry>* json_entries) {
   const std::int64_t n = 1 << 20;
   const int run_count = 64;
@@ -282,8 +321,7 @@ void RunMergeAblation(std::vector<bench::BenchJsonEntry>* json_entries) {
     SetParallelForThreads(threads);
     PairRuns copy = runs;
     Stopwatch pairwise_watch;
-    const auto pairwise = mpc::internal_primitives::MergeSortedRunsPairwise(
-        std::move(copy), by_key);
+    const auto pairwise = MergeSortedRunsPairwise(std::move(copy), by_key);
     const double pairwise_ms = pairwise_watch.ElapsedMillis();
     copy = runs;
     Stopwatch splitter_watch;

@@ -95,12 +95,6 @@ DistRelation<S> LinearSparseMM(mpc::Cluster& cluster,
   return out;
 }
 
-struct MatMulOsOptions {
-  // Repetitions for the per-group column estimates (step 3); the global
-  // OUT estimate uses the EstimateChainOut default when not supplied.
-  int group_estimate_repetitions = 5;
-};
-
 // §3.2 output-sensitive algorithm. Preconditions: dangling tuples removed,
 // N1, N2 >= 1. `est` is the §2.2 estimate for the chain A-B-C (recomputed
 // when null).
@@ -108,8 +102,7 @@ template <SemiringC S>
 DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
                                       const DistRelation<S>& r1,
                                       const DistRelation<S>& r2,
-                                      const OutEstimate* est = nullptr,
-                                      const MatMulOsOptions& options = {}) {
+                                      const OutEstimate* est = nullptr) {
   using internal_matmul::MatMulAttrs;
   const MatMulAttrs m = internal_matmul::ResolveMatMulAttrs(r1, r2);
   const int p = cluster.p();
@@ -252,7 +245,7 @@ DistRelation<S> MatMulOutputSensitive(mpc::Cluster& cluster,
     // Estimate |π_A σ_{A∈A_i}R1 ⋈ R2(B,c)| per column c (§2.2 chain C-B-A).
     OutEstimate est_i = EstimateChainOut(
         cluster, std::vector<DistRelation<S>>{r2, r1_i}, {m.c, m.b, m.a},
-        options.group_estimate_repetitions);
+        /*repetitions=*/5);
 
     std::vector<mpc::PackedItem> col_items;
     // Sorted so virtual-server allocation order and the packing input are

@@ -64,11 +64,11 @@ class Cluster {
     std::int64_t recovery_comm = 0;
     int retransmits = 0;  // corrupted messages detected and re-delivered
     int crashes = 0;      // fail-stop crashes fired
-    // Fine-grained recovery ledger (this file, BeginAttempt /
-    // ChargeRebalanceRound): resume fast-forwards begun, algorithm rounds
-    // they elided, straggler re-balance rounds charged, and the tuples
-    // those re-balances shipped (also counted in recovery_comm and
-    // total_comm).
+    // Fine-grained recovery ledger (this file, BeginAttempt and the
+    // straggler re-balance in ApplyRound): resume fast-forwards begun,
+    // algorithm rounds they elided, straggler re-balance rounds charged,
+    // and the tuples those re-balances shipped (also counted in
+    // recovery_comm and total_comm).
     int resumes = 0;
     int resumed_rounds = 0;
     int rebalances = 0;
@@ -291,24 +291,14 @@ class Cluster {
   // 0 (the default) keeps the passive model: an injected straggle factor
   // stretches the round's critical-path contribution. With a threshold
   // t > 0, a factor >= t is handled ACTIVELY: the victim's pending round
-  // load is shipped onto the other live servers (capacity-weighted) in one
-  // charged re-balance round, and the straggled round contributes the
+  // load is split evenly over the other live servers in one charged
+  // re-balance round, and the straggled round contributes the
   // post-re-balance effective time instead of the stretched one.
   void SetStraggleThreshold(double threshold) {
     CHECK_GE(threshold, 0);
     straggle_threshold_ = threshold;
   }
   double straggle_threshold() const { return straggle_threshold_; }
-
-  // Per-server capacity weights (heterogeneous-cluster groundwork: a
-  // round's effective time is max received/capacity). Indexed by physical
-  // server; servers beyond the vector default to 1.0. Empty (the default)
-  // keeps the homogeneous model bit-for-bit.
-  void SetCapacities(std::vector<double> capacities) {
-    for (double c : capacities) CHECK_GT(c, 0);
-    capacities_ = std::move(capacities);
-  }
-  const std::vector<double>& capacities() const { return capacities_; }
 
   // Algorithm entry guard: a previous attempt must not leave a parallel
   // region open (the epoch mechanism makes abandoned guards no-ops, but a
@@ -373,93 +363,27 @@ class Cluster {
     events_.push_back(std::move(event));
   }
 
-  double CapacityOf(size_t s) const {
-    return s < capacities_.size() ? capacities_[s] : 1.0;
-  }
-
-  // Effective synchronous-round time under per-server capacities: the
-  // maximum over servers of received/capacity. Equals the plain round
-  // maximum with uniform (unset) capacities.
-  std::int64_t EffectiveTime(const std::vector<std::int64_t>& physical) const {
-    if (capacities_.empty()) {
-      std::int64_t m = 0;
-      for (std::int64_t r : physical) m = std::max(m, r);
-      return m;
-    }
-    double m = 0;
-    for (size_t s = 0; s < physical.size(); ++s) {
-      m = std::max(m, static_cast<double>(physical[s]) / CapacityOf(s));
-    }
-    return static_cast<std::int64_t>(std::llround(m));
-  }
-
-  // Splits the victim's round load across the other live servers
-  // proportionally to capacity (largest shares to the fastest servers),
-  // deterministically: fractional remainders are handed out one tuple at a
-  // time in server order.
+  // Splits the victim's round load evenly over the other live servers,
+  // deterministically: each takes moved / (n-1) tuples, and the first
+  // moved mod (n-1) of them, in server order, one more.
   Rebalance PlanRebalance(int victim, double factor,
                           const std::vector<std::int64_t>& physical) const {
     Rebalance rb;
     rb.victim = victim;
     rb.factor = factor;
     rb.moved = physical[static_cast<size_t>(victim)];
-    const size_t n = physical.size();
-    double weight_sum = 0;
-    for (size_t s = 0; s < n; ++s) {
-      if (static_cast<int>(s) != victim) weight_sum += CapacityOf(s);
-    }
-    std::vector<std::int64_t> delta(n, 0);
-    std::int64_t assigned = 0;
-    for (size_t s = 0; s < n; ++s) {
+    const std::int64_t others =
+        static_cast<std::int64_t>(physical.size()) - 1;
+    const std::int64_t share = rb.moved / others;
+    const std::int64_t extra = rb.moved % others;
+    rb.ship_max = extra > 0 ? share + 1 : share;
+    std::int64_t recipient = 0;
+    for (size_t s = 0; s < physical.size(); ++s) {
       if (static_cast<int>(s) == victim) continue;
-      delta[s] = static_cast<std::int64_t>(static_cast<double>(rb.moved) *
-                                           (CapacityOf(s) / weight_sum));
-      assigned += delta[s];
+      const std::int64_t delta = recipient++ < extra ? share + 1 : share;
+      rb.effective = std::max(rb.effective, CheckedAdd(physical[s], delta));
     }
-    std::int64_t leftover = rb.moved - assigned;
-    for (size_t s = 0; leftover > 0; s = (s + 1) % n) {
-      if (static_cast<int>(s) == victim) continue;
-      delta[s] += 1;
-      --leftover;
-    }
-    double eff = 0;
-    for (size_t s = 0; s < n; ++s) {
-      if (static_cast<int>(s) == victim) continue;
-      rb.ship_max = std::max(rb.ship_max, delta[s]);
-      eff = std::max(eff, static_cast<double>(
-                              CheckedAdd(physical[s], delta[s])) /
-                              CapacityOf(s));
-    }
-    rb.effective = static_cast<std::int64_t>(std::llround(eff));
     return rb;
-  }
-
-  // Charges the re-balance shipping round directly (like checkpoint
-  // replication: it cannot itself straggle, crash, or trigger a
-  // checkpoint). The traffic is recovery communication, itemized again in
-  // rebalance_comm.
-  void ChargeRebalanceRound(const Rebalance& rb) {
-    ++charged_rounds_;
-    stats_.rounds += 1;
-    stats_.rebalances += 1;
-    stats_.max_load = std::max(stats_.max_load, rb.ship_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, rb.moved);
-    stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, rb.moved);
-    stats_.rebalance_comm = CheckedAdd(stats_.rebalance_comm, rb.moved);
-    stats_.critical_path = CheckedAdd(stats_.critical_path, rb.ship_max);
-    if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = rb.ship_max;
-      record.tuples = rb.moved;
-      record.recovery = true;
-      observer_->OnRound(record);
-    }
-    Record({"rebalance", charged_rounds_,
-            "rebalance at round " + std::to_string(charged_rounds_) +
-                ": shipped " + std::to_string(rb.moved) +
-                " tuple(s) off server " + std::to_string(rb.victim),
-            rb.victim, rb.factor, rb.moved});
   }
 
   std::vector<std::int64_t> FoldToPhysical(
@@ -472,15 +396,45 @@ class Cluster {
     return physical;
   }
 
-  // The single round-accounting core. `physical` has size live_.
-  void ApplyRound(const std::vector<std::int64_t>& physical, bool recovery) {
-    ++charged_rounds_;
-    std::int64_t round_max = 0;
-    std::int64_t moved = 0;
+  // The round record of per-physical-server receive counts.
+  static RoundRecord Tally(const std::vector<std::int64_t>& physical,
+                           bool recovery) {
+    RoundRecord record;
+    record.recovery = recovery;
     for (std::int64_t r : physical) {
-      round_max = std::max(round_max, r);
-      moved = CheckedAdd(moved, r);
+      record.max_load = std::max(record.max_load, r);
+      record.tuples = CheckedAdd(record.tuples, r);
     }
+    return record;
+  }
+
+  // The one booking step every charged round goes through: algorithm,
+  // recovery, elided resume, re-balance and checkpoint-replication rounds.
+  // Advances the charged-round counter, adds the round to the ledger (an
+  // elided round only to resumed_rounds) and then reports it to the
+  // observer. `critical` is the round's critical-path contribution.
+  void BookRound(RoundRecord record, std::int64_t critical) {
+    record.round = ++charged_rounds_;
+    if (record.resumed) {
+      stats_.resumed_rounds += 1;
+    } else {
+      stats_.rounds += 1;
+      stats_.max_load = std::max(stats_.max_load, record.max_load);
+      stats_.total_comm = CheckedAdd(stats_.total_comm, record.tuples);
+      if (record.recovery) {
+        stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, record.tuples);
+      }
+      stats_.critical_path = CheckedAdd(stats_.critical_path, critical);
+    }
+    if (observer_ != nullptr) observer_->OnRound(record);
+  }
+
+  // Charges one algorithm or recovery round and everything it triggers,
+  // in this order: straggler events, the round itself, its re-balance
+  // rounds, checkpoint replication, then a budget abort or a crash.
+  // `physical` has size live_.
+  void ApplyRound(const std::vector<std::int64_t>& physical, bool recovery) {
+    RoundRecord record = Tally(physical, recovery);
     if (!recovery && fast_forward_remaining_ > 0) {
       // Resume fast-forward: this round is re-covered by the restored
       // interval checkpoint. It keeps its slot in the charged-round order
@@ -488,47 +442,34 @@ class Cluster {
       // skips the budget check and checkpoint accumulation (BeginAttempt).
       --fast_forward_remaining_;
       algo_rounds_done_ += 1;
-      stats_.resumed_rounds += 1;
-      if (observer_ != nullptr) {
-        RoundRecord record;
-        record.round = charged_rounds_;
-        record.max_load = round_max;
-        record.tuples = moved;
-        record.recovery = false;
-        record.resumed = true;
-        observer_->OnRound(record);
-      }
+      record.resumed = true;
+      BookRound(record, 0);
       return;
     }
-    stats_.rounds += 1;
-    stats_.max_load = std::max(stats_.max_load, round_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, moved);
-    if (recovery) {
-      stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, moved);
-    }
+    const int round = charged_rounds_ + 1;
 
     // Straggler: the slowest due delay factor stretches this round's
     // contribution to the critical path. Recovery rounds never straggle.
     // With an armed straggle threshold, a due factor at or above it is
     // re-balanced instead: the victim's pending round load ships to the
-    // other live servers (capacity-weighted) in a charged re-balance round
-    // below, and this round contributes the post-re-balance effective time
-    // rather than the stretched one.
+    // other live servers in a charged re-balance round below, and this
+    // round contributes the post-re-balance effective time rather than
+    // the stretched one.
     double factor = 1.0;
     std::vector<Rebalance> rebalances;
     if (faults_enabled_ && !recovery) {
       for (FaultEvent& e : plan_.events()) {
         if (e.fired || e.kind != FaultKind::kStraggler) continue;
-        if (e.round > charged_rounds_) continue;
+        if (e.round > round) continue;
         e.fired = true;
-        e.fired_round = charged_rounds_;
+        e.fired_round = round;
         const int victim =
             e.server % static_cast<int>(physical.size());
         const bool active = straggle_threshold_ > 0 &&
                             e.factor >= straggle_threshold_ &&
                             physical.size() > 1;
-        Record({"straggler", charged_rounds_,
-                "straggler at round " + std::to_string(charged_rounds_) +
+        Record({"straggler", round,
+                "straggler at round " + std::to_string(round) +
                     ": server " + std::to_string(e.server) + " delayed x" +
                     std::to_string(e.factor) +
                     (active ? ", re-balancing" : ""),
@@ -543,12 +484,11 @@ class Cluster {
         }
       }
     }
-    std::int64_t round_time = static_cast<std::int64_t>(std::llround(
-        static_cast<double>(EffectiveTime(physical)) * factor));
+    std::int64_t round_time = static_cast<std::int64_t>(
+        std::llround(static_cast<double>(record.max_load) * factor));
     for (const Rebalance& rb : rebalances) {
       round_time = std::max(round_time, rb.effective);
     }
-    stats_.critical_path = CheckedAdd(stats_.critical_path, round_time);
 
     // Retransmission traffic from VerifyAndRepairMessages is already in
     // this round's physical counts; book it as recovery traffic here.
@@ -557,19 +497,25 @@ class Cluster {
           CheckedAdd(stats_.recovery_comm, pending_retransmit_comm_);
       pending_retransmit_comm_ = 0;
     }
+    record.straggle_factor = factor;
+    BookRound(record, round_time);
 
-    if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = round_max;
-      record.tuples = moved;
-      record.recovery = recovery;
-      record.straggle_factor = factor;
-      observer_->OnRound(record);
-    }
-
+    // Re-balance rounds are booked directly, like checkpoint replication:
+    // they cannot themselves straggle, crash, or trigger a checkpoint. The
+    // traffic is recovery communication, itemized again in rebalance_comm.
     for (const Rebalance& rb : rebalances) {
-      ChargeRebalanceRound(rb);
+      stats_.rebalances += 1;
+      stats_.rebalance_comm = CheckedAdd(stats_.rebalance_comm, rb.moved);
+      RoundRecord shipped;
+      shipped.max_load = rb.ship_max;
+      shipped.tuples = rb.moved;
+      shipped.recovery = true;
+      BookRound(shipped, rb.ship_max);
+      Record({"rebalance", charged_rounds_,
+              "rebalance at round " + std::to_string(charged_rounds_) +
+                  ": shipped " + std::to_string(rb.moved) +
+                  " tuple(s) off server " + std::to_string(rb.victim),
+              rb.victim, rb.factor, rb.moved});
     }
 
     if (!recovery) {
@@ -584,11 +530,11 @@ class Cluster {
       }
     }
 
-    if (!recovery && load_budget_ > 0 && round_max > load_budget_) {
+    if (!recovery && load_budget_ > 0 && record.max_load > load_budget_) {
       RoundAbort abort;
       abort.reason = RoundAbort::Reason::kLoadBudget;
       abort.round = charged_rounds_;
-      abort.round_load = round_max;
+      abort.round_load = record.max_load;
       abort.budget = load_budget_;
       Record({"budget_abort", charged_rounds_,
               "budget abort: " + abort.ToString()});
@@ -604,12 +550,14 @@ class Cluster {
         stats_.crashes += 1;
         const int victim = e.server % live_;
         live_ -= 1;
-        FoldSinceCheckpoint();
+        // Traffic accumulated toward the next checkpoint follows the same
+        // v mod p re-hosting as the virtual servers themselves.
+        since_ckpt_ = FoldToPhysical(since_ckpt_);
         RoundAbort abort;
         abort.reason = RoundAbort::Reason::kServerCrash;
         abort.round = charged_rounds_;
         abort.server = victim;
-        abort.round_load = round_max;
+        abort.round_load = record.max_load;
         Record({"crash", charged_rounds_,
                 "crash: " + abort.ToString() + ", " +
                     std::to_string(live_) + " servers remain"});
@@ -618,49 +566,19 @@ class Cluster {
     }
   }
 
-  // Charges the rotated replication round directly (no recursion through
-  // ApplyRound: replication cannot itself straggle, crash, or re-trigger a
-  // checkpoint).
+  // Books the rotated replication round: each server's traffic since the
+  // last checkpoint, copied to its neighbor.
   void ChargeCheckpointReplication() {
-    std::int64_t rep_max = 0;
-    std::int64_t rep_moved = 0;
-    for (std::int64_t c : since_ckpt_) {
-      rep_max = std::max(rep_max, c);
-      rep_moved = CheckedAdd(rep_moved, c);
-    }
-    ++charged_rounds_;
-    stats_.rounds += 1;
-    stats_.max_load = std::max(stats_.max_load, rep_max);
-    stats_.total_comm = CheckedAdd(stats_.total_comm, rep_moved);
-    stats_.recovery_comm = CheckedAdd(stats_.recovery_comm, rep_moved);
-    stats_.critical_path = CheckedAdd(stats_.critical_path, rep_max);
+    RoundRecord record = Tally(since_ckpt_, /*recovery=*/true);
     std::fill(since_ckpt_.begin(), since_ckpt_.end(), 0);
     rounds_since_ckpt_ = 0;
     // Everything up to and including this round is now replicated: a
     // resumed re-execution may fast-forward over these rounds.
     ckpt_covered_rounds_ = algo_rounds_done_;
-    if (observer_ != nullptr) {
-      RoundRecord record;
-      record.round = charged_rounds_;
-      record.max_load = rep_max;
-      record.tuples = rep_moved;
-      record.recovery = true;
-      observer_->OnRound(record);
-      Notify({"checkpoint", charged_rounds_,
-              "interval checkpoint replication, " +
-                  std::to_string(rep_moved) + " tuple(s)"});
-    }
-  }
-
-  // After a crash, traffic accumulated toward the next checkpoint follows
-  // the same v mod p re-hosting as the virtual servers themselves.
-  void FoldSinceCheckpoint() {
-    std::vector<std::int64_t> folded(static_cast<size_t>(live_), 0);
-    for (size_t s = 0; s < since_ckpt_.size(); ++s) {
-      std::int64_t& slot = folded[s % static_cast<size_t>(live_)];
-      slot = CheckedAdd(slot, since_ckpt_[s]);
-    }
-    since_ckpt_ = std::move(folded);
+    BookRound(record, record.max_load);
+    Notify({"checkpoint", charged_rounds_,
+            "interval checkpoint replication, " +
+                std::to_string(record.tuples) + " tuple(s)"});
   }
 
   int p_total_;
@@ -693,7 +611,6 @@ class Cluster {
   int fast_forward_remaining_ = 0;
 
   double straggle_threshold_ = 0;
-  std::vector<double> capacities_;
 
   RoundObserver* observer_ = nullptr;
 };

@@ -65,21 +65,6 @@ class Dist {
     return out;
   }
 
-  // Like Flatten, but moves the elements out instead of copying; the Dist
-  // is left with the same number of parts, all empty. Used by primitives
-  // that consume their input (Sort, Rebalance) to avoid a full copy.
-  std::vector<T> TakeFlatten() {
-    std::vector<T> out;
-    out.reserve(static_cast<size_t>(TotalSize()));
-    for (auto& part : parts_) {
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-      part.clear();
-      part.shrink_to_fit();
-    }
-    return out;
-  }
-
   // Applies fn to every element of every part (read-only).
   template <typename Fn>
   void ForEach(Fn fn) const {

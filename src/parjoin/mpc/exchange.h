@@ -66,25 +66,60 @@ void VerifyAndCharge(Cluster& cluster, const Dist<T>& out,
   cluster.ChargeRound(received);
 }
 
-// Concatenates buckets[s][d] over s (source order) into out->part(d) for
-// every destination d, in parallel over destinations; fills received[d].
-template <typename T>
-void DeliverBuckets(std::vector<std::vector<std::vector<T>>>* buckets,
-                    Dist<T>* out, std::vector<std::int64_t>* received) {
-  const int num_src = static_cast<int>(buckets->size());
-  const int num_dest = out->num_parts();
-  ParallelFor(num_dest, [&](int d) {
+// The routing body Exchange and ExchangeMulti share. make_router() returns
+// a router; router(item, deliver) calls deliver(dest) once per destination
+// of item, in order. The sequential walk uses one router; the threaded
+// path makes one per source part, so any scratch a router keeps stays per
+// source part while the parts route concurrently.
+template <typename T, typename MakeRouter>
+Dist<T> RouteAndCharge(Cluster& cluster, const Dist<T>& in,
+                       int num_dest_parts, MakeRouter make_router) {
+  CHECK_GT(num_dest_parts, 0);
+  Dist<T> out(num_dest_parts);
+  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
+  const int num_src = in.num_parts();
+  if (!UseThreadedRoute(in.TotalSize(), num_src, num_dest_parts)) {
+    auto router = make_router();
+    for (const auto& part : in.parts()) {
+      for (const auto& item : part) {
+        router(item, [&](int dest) {
+          CHECK_GE(dest, 0);
+          CHECK_LT(dest, num_dest_parts);
+          out.part(dest).push_back(item);
+          received[static_cast<size_t>(dest)] += 1;
+        });
+      }
+    }
+    VerifyAndCharge(cluster, out, received);
+    return out;
+  }
+
+  std::vector<std::vector<std::vector<T>>> buckets(
+      static_cast<size_t>(num_src));
+  ParallelFor(num_src, [&](int s) {
+    auto& local = buckets[static_cast<size_t>(s)];
+    local.resize(static_cast<size_t>(num_dest_parts));
+    auto router = make_router();
+    for (const auto& item : in.part(s)) {
+      router(item, [&](int dest) {
+        CHECK_GE(dest, 0);
+        CHECK_LT(dest, num_dest_parts);
+        local[static_cast<size_t>(dest)].push_back(item);
+      });
+    }
+  });
+  ParallelFor(num_dest_parts, [&](int d) {
     std::size_t total = 0;
-    for (int s = 0; s < num_src; ++s) total += (*buckets)[s][d].size();
-    auto& dst = out->part(d);
+    for (int s = 0; s < num_src; ++s) total += buckets[s][d].size();
+    auto& dst = out.part(d);
     dst.reserve(total);
     for (int s = 0; s < num_src; ++s) {
-      auto& bucket = (*buckets)[s][d];
-      for (auto& item : bucket) dst.push_back(std::move(item));
+      for (auto& item : buckets[s][d]) dst.push_back(std::move(item));
     }
-    (*received)[static_cast<std::size_t>(d)] =
-        static_cast<std::int64_t>(total);
+    received[static_cast<std::size_t>(d)] = static_cast<std::int64_t>(total);
   });
+  VerifyAndCharge(cluster, out, received);
+  return out;
 }
 
 }  // namespace internal_exchange
@@ -95,43 +130,11 @@ void DeliverBuckets(std::vector<std::vector<std::vector<T>>>* buckets,
 template <typename T, typename Route>
 Dist<T> Exchange(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
                  Route route) {
-  CHECK_GT(num_dest_parts, 0);
   TraceScope trace(cluster, "exchange");
-  Dist<T> out(num_dest_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
-  const int num_src = in.num_parts();
-  if (!internal_exchange::UseThreadedRoute(in.TotalSize(), num_src,
-                                           num_dest_parts)) {
-    for (const auto& part : in.parts()) {
-      for (const auto& item : part) {
-        const int dest = route(item);
-        CHECK_GE(dest, 0);
-        CHECK_LT(dest, num_dest_parts);
-        out.part(dest).push_back(item);
-        received[static_cast<size_t>(dest)] += 1;
-      }
-    }
-    internal_exchange::VerifyAndCharge(cluster, out, received);
-    return out;
-  }
-
-  // Phase 1: every source part buckets its items by destination.
-  std::vector<std::vector<std::vector<T>>> buckets(
-      static_cast<size_t>(num_src));
-  ParallelFor(num_src, [&](int s) {
-    auto& local = buckets[static_cast<size_t>(s)];
-    local.resize(static_cast<size_t>(num_dest_parts));
-    for (const auto& item : in.part(s)) {
-      const int dest = route(item);
-      CHECK_GE(dest, 0);
-      CHECK_LT(dest, num_dest_parts);
-      local[static_cast<size_t>(dest)].push_back(item);
-    }
-  });
-  // Phase 2: every destination concatenates its buckets in source order.
-  internal_exchange::DeliverBuckets(&buckets, &out, &received);
-  internal_exchange::VerifyAndCharge(cluster, out, received);
-  return out;
+  return internal_exchange::RouteAndCharge(
+      cluster, in, num_dest_parts, [&] {
+        return [&](const T& item, auto deliver) { deliver(route(item)); };
+      });
 }
 
 // One round with replication: route_multi(item, &dests) appends every
@@ -142,48 +145,15 @@ template <typename T, typename RouteMulti>
 Dist<T> ExchangeMulti(Cluster& cluster, const Dist<T>& in, int num_dest_parts,
                       RouteMulti route_multi) {
   TraceScope trace(cluster, "exchange_multi");
-  CHECK_GT(num_dest_parts, 0);
-  Dist<T> out(num_dest_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_dest_parts), 0);
-  const int num_src = in.num_parts();
-  if (!internal_exchange::UseThreadedRoute(in.TotalSize(), num_src,
-                                           num_dest_parts)) {
-    std::vector<int> dests;
-    for (const auto& part : in.parts()) {
-      for (const auto& item : part) {
-        dests.clear();
-        route_multi(item, &dests);
-        for (int dest : dests) {
-          CHECK_GE(dest, 0);
-          CHECK_LT(dest, num_dest_parts);
-          out.part(dest).push_back(item);
-          received[static_cast<size_t>(dest)] += 1;
-        }
-      }
-    }
-    internal_exchange::VerifyAndCharge(cluster, out, received);
-    return out;
-  }
-
-  std::vector<std::vector<std::vector<T>>> buckets(
-      static_cast<size_t>(num_src));
-  ParallelFor(num_src, [&](int s) {
-    auto& local = buckets[static_cast<size_t>(s)];
-    local.resize(static_cast<size_t>(num_dest_parts));
-    std::vector<int> dests;
-    for (const auto& item : in.part(s)) {
-      dests.clear();
-      route_multi(item, &dests);
-      for (int dest : dests) {
-        CHECK_GE(dest, 0);
-        CHECK_LT(dest, num_dest_parts);
-        local[static_cast<size_t>(dest)].push_back(item);
-      }
-    }
-  });
-  internal_exchange::DeliverBuckets(&buckets, &out, &received);
-  internal_exchange::VerifyAndCharge(cluster, out, received);
-  return out;
+  return internal_exchange::RouteAndCharge(
+      cluster, in, num_dest_parts, [&] {
+        return [&route_multi, dests = std::vector<int>()](
+                   const T& item, auto deliver) mutable {
+          dests.clear();
+          route_multi(item, &dests);
+          for (int dest : dests) deliver(dest);
+        };
+      });
 }
 
 // Sends every item to the single (virtual) server `dest_part` (ids >= p are
@@ -213,22 +183,6 @@ Dist<T> Broadcast(Cluster& cluster, const Dist<T>& in) {
                                      static_cast<std::int64_t>(all.size()));
   ParallelFor(p - 1, [&](int s) { out.part(s) = all; });
   out.part(p - 1) = std::move(all);
-  cluster.ChargeRound(received);
-  return out;
-}
-
-// Rebalances items into `num_parts` equal chunks (a "shuffle to even out"
-// round, load ceil(N/num_parts) per server). Consumes its input: pass
-// std::move(dist) to avoid copying the parts.
-template <typename T>
-Dist<T> Rebalance(Cluster& cluster, Dist<T> in, int num_parts) {
-  TraceScope trace(cluster, "rebalance");
-  Dist<T> out = ScatterEvenly(in.TakeFlatten(), num_parts);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    received[static_cast<size_t>(s)] =
-        static_cast<std::int64_t>(out.part(s).size());
-  }
   cluster.ChargeRound(received);
   return out;
 }

@@ -41,46 +41,6 @@ namespace mpc {
 
 namespace internal_primitives {
 
-// Merges sorted runs into one globally sorted vector, reproducing exactly
-// the order a stable sort of the run-order concatenation would produce
-// (ties resolve to the lower run index, and within a run to the original
-// order). Pairwise merge rounds; the merges of one round are independent
-// and execute under ParallelFor. Elements are moved, never copied.
-//
-// This is the sequential/small-input path of MergeSortedRuns and the
-// baseline of the E6 merge-strategy ablation: its late rounds merge ever
-// fewer, ever larger pairs, so past round log2(threads) most workers idle.
-template <typename T, typename Less>
-std::vector<T> MergeSortedRunsPairwise(std::vector<std::vector<T>> runs,
-                                       Less less) {
-  if (runs.empty()) return {};
-  while (runs.size() > 1) {
-    const int pairs = static_cast<int>(runs.size() / 2);
-    std::vector<std::vector<T>> next((runs.size() + 1) / 2);
-    ParallelFor(pairs, [&](int i) {
-      auto& a = runs[static_cast<size_t>(2 * i)];
-      auto& b = runs[static_cast<size_t>(2 * i + 1)];
-      std::vector<T> merged;
-      merged.reserve(a.size() + b.size());
-      // std::merge takes from the first range on ties, so the lower part
-      // index wins — exactly the stable order of the concatenation.
-      std::merge(std::make_move_iterator(a.begin()),
-                 std::make_move_iterator(a.end()),
-                 std::make_move_iterator(b.begin()),
-                 std::make_move_iterator(b.end()),
-                 std::back_inserter(merged), less);
-      a.clear();
-      a.shrink_to_fit();
-      b.clear();
-      b.shrink_to_fit();
-      next[static_cast<size_t>(i)] = std::move(merged);
-    });
-    if (runs.size() % 2 == 1) next.back() = std::move(runs.back());
-    runs = std::move(next);
-  }
-  return std::move(runs.front());
-}
-
 // One contiguous slice of a sorted run. Slices handed to MergeSpansInto
 // are consumed: their elements are moved into the output.
 template <typename T>
@@ -90,26 +50,37 @@ struct RunSpan {
 };
 
 // Merges `spans` (sorted slices, in run order) into the output range
-// starting at `out`, which must have room for the combined size. Same
-// stable order as MergeSortedRunsPairwise: ties resolve to the lower span
-// index. Runs the ladder sequentially — MergeSortedRuns parallelizes
-// across disjoint key ranges, not within one.
+// starting at `out`, which must have room for the combined size, with a
+// pairwise ladder: ties resolve to the lower span index, and within a span
+// to the original order. owners[i] is empty or the storage spans[i] points
+// into; the ladder frees it, and each merge buffer it makes, once that
+// span is merged into the next level. Runs sequentially — MergeSortedRuns
+// parallelizes across disjoint key ranges, not within one.
 template <typename T, typename Less>
-void MergeSpansInto(std::vector<RunSpan<T>> spans, Less less, T* out) {
+void MergeSpansInto(std::vector<RunSpan<T>> spans,
+                    std::vector<std::vector<T>> owners, Less less, T* out) {
+  CHECK_EQ(spans.size(), owners.size());
   // Dropping empty spans keeps the ladder shallow and cannot disturb tie
   // order: ties only resolve among spans that hold elements.
-  spans.erase(std::remove_if(
-                  spans.begin(), spans.end(),
-                  [](const RunSpan<T>& s) { return s.begin == s.end; }),
-              spans.end());
-  if (spans.empty()) return;
-  // Intermediate merge buffers. A vector's heap storage is stable while
-  // the outer vector grows, so spans into earlier buffers stay valid.
-  std::vector<std::vector<T>> bufs;
+  size_t kept = 0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].begin == spans[i].end) continue;
+    if (kept != i) {  // a self-move would free the storage
+      spans[kept] = spans[i];
+      owners[kept] = std::move(owners[i]);
+    }
+    ++kept;
+  }
+  spans.resize(kept);
+  owners.resize(kept);
+  // Moving a vector keeps its heap storage in place, so spans stay valid
+  // while their owners move from level to level.
   while (spans.size() > 2) {
     const size_t pairs = spans.size() / 2;
     std::vector<RunSpan<T>> next;
+    std::vector<std::vector<T>> next_owners;
     next.reserve(pairs + 1);
+    next_owners.reserve(pairs + 1);
     for (size_t i = 0; i < pairs; ++i) {
       const RunSpan<T>& a = spans[2 * i];
       const RunSpan<T>& b = spans[2 * i + 1];
@@ -121,34 +92,45 @@ void MergeSpansInto(std::vector<RunSpan<T>> spans, Less less, T* out) {
                  std::make_move_iterator(b.begin),
                  std::make_move_iterator(b.end),
                  std::back_inserter(merged), less);
-      bufs.push_back(std::move(merged));
-      next.push_back(
-          {bufs.back().data(), bufs.back().data() + bufs.back().size()});
+      owners[2 * i] = std::vector<T>();
+      owners[2 * i + 1] = std::vector<T>();
+      next.push_back({merged.data(), merged.data() + merged.size()});
+      next_owners.push_back(std::move(merged));
     }
-    if (spans.size() % 2 == 1) next.push_back(spans.back());
+    if (spans.size() % 2 == 1) {
+      next.push_back(spans.back());
+      next_owners.push_back(std::move(owners.back()));
+    }
     spans = std::move(next);
+    owners = std::move(next_owners);
   }
   if (spans.size() == 1) {
     std::move(spans[0].begin, spans[0].end, out);
-    return;
+  } else if (spans.size() == 2) {
+    std::merge(std::make_move_iterator(spans[0].begin),
+               std::make_move_iterator(spans[0].end),
+               std::make_move_iterator(spans[1].begin),
+               std::make_move_iterator(spans[1].end), out, less);
   }
-  std::merge(std::make_move_iterator(spans[0].begin),
-             std::make_move_iterator(spans[0].end),
-             std::make_move_iterator(spans[1].begin),
-             std::make_move_iterator(spans[1].end), out, less);
 }
 
 // Below this many elements the splitter partition costs more than it
-// saves; MergeSortedRuns falls through to the pairwise ladder.
+// saves; MergeSortedRuns merges everything as one chunk.
 inline constexpr std::int64_t kSplitterMergeMinTotal = 1 << 13;
 
-// Merges sorted runs into one globally sorted vector — same contract and
-// bit-identical output as MergeSortedRunsPairwise — via splitter
-// partitioning: sample the runs at a fixed stride (sample density follows
-// run length), sort the sample, pick ~4·threads chunk boundaries from it,
-// cut every run at every boundary with lower_bound, and merge the
-// resulting disjoint chunks concurrently under ParallelFor, each chunk's
-// ladder writing directly into its exact output slice.
+// Merges sorted runs into one globally sorted vector, reproducing exactly
+// the order a stable sort of the run-order concatenation would produce
+// (ties resolve to the lower run index, and within a run to the original
+// order). Elements are moved, never copied.
+//
+// With threads > 1 and at least kSplitterMergeMinTotal elements the merge
+// is split by splitter partitioning: sample the runs at a fixed stride
+// (sample density follows run length), sort the sample, pick ~4·threads
+// chunk boundaries from it, cut every run at every boundary with
+// lower_bound, and merge the resulting disjoint chunks concurrently under
+// ParallelFor, each chunk's ladder writing directly into its exact output
+// slice. Otherwise there is one chunk and no sample, and that chunk's
+// ladder frees the runs as it consumes them.
 //
 // Every cut for one boundary is a lower_bound of the same splitter value,
 // so a group of equal keys is never split across chunks: each chunk's
@@ -162,29 +144,29 @@ std::vector<T> MergeSortedRuns(std::vector<std::vector<T>> runs, Less less) {
   std::int64_t total = 0;
   for (const auto& r : runs) total += static_cast<std::int64_t>(r.size());
   const int threads = ParallelForThreads();
-  if (threads <= 1 || total < kSplitterMergeMinTotal) {
-    return MergeSortedRunsPairwise(std::move(runs), less);
-  }
 
   // Oversampled splitter selection: 8 candidates per target chunk keep
   // chunk sizes near total/chunks even when run lengths are skewed.
-  const std::int64_t want_chunks = 4 * static_cast<std::int64_t>(threads);
-  const std::int64_t stride =
-      std::max<std::int64_t>(1, total / (8 * want_chunks));
   std::vector<const T*> sample;
-  sample.reserve(static_cast<size_t>(total / stride + 1));
-  for (const auto& r : runs) {
-    const std::int64_t r_size = static_cast<std::int64_t>(r.size());
-    for (std::int64_t i = stride - 1; i < r_size; i += stride) {
-      sample.push_back(&r[static_cast<size_t>(i)]);
+  int chunks = 1;
+  if (threads > 1 && total >= kSplitterMergeMinTotal) {
+    const std::int64_t want_chunks = 4 * static_cast<std::int64_t>(threads);
+    const std::int64_t stride =
+        std::max<std::int64_t>(1, total / (8 * want_chunks));
+    sample.reserve(static_cast<size_t>(total / stride + 1));
+    for (const auto& r : runs) {
+      const std::int64_t r_size = static_cast<std::int64_t>(r.size());
+      for (std::int64_t i = stride - 1; i < r_size; i += stride) {
+        sample.push_back(&r[static_cast<size_t>(i)]);
+      }
     }
+    std::sort(sample.begin(), sample.end(),
+              [&](const T* a, const T* b) { return less(*a, *b); });
+    // (Equal-key sample permutations are irrelevant: splitters act only
+    // through lower_bound, which sees values, not sample positions.)
+    chunks = static_cast<int>(std::min(
+        want_chunks, static_cast<std::int64_t>(sample.size()) + 1));
   }
-  std::sort(sample.begin(), sample.end(),
-            [&](const T* a, const T* b) { return less(*a, *b); });
-  // (Equal-key sample permutations are irrelevant: splitters act only
-  // through lower_bound, which sees values, not sample positions.)
-  const int chunks = static_cast<int>(std::min(
-      want_chunks, static_cast<std::int64_t>(sample.size()) + 1));
   const int nruns = static_cast<int>(runs.size());
 
   // cut[b][r]: number of elements of run r that precede chunk b; row 0 is
@@ -227,7 +209,13 @@ std::vector<T> MergeSortedRuns(std::vector<std::vector<T>> runs, Less less) {
       spans.push_back({base + cut[b][static_cast<size_t>(r)],
                        base + cut[b + 1][static_cast<size_t>(r)]});
     }
-    MergeSpansInto(std::move(spans), less, out.data() + offset[b]);
+    // A lone chunk spans whole runs and may free them; chunks that share
+    // runs leave them to this function.
+    MergeSpansInto(std::move(spans),
+                   chunks == 1 ? std::move(runs)
+                               : std::vector<std::vector<T>>(
+                                     static_cast<size_t>(nruns)),
+                   less, out.data() + offset[b]);
   });
   return out;
 }
@@ -295,6 +283,20 @@ auto SummarizeKeyRuns(const Dist<T>& sorted, KeyFn key_fn) {
   return sum;
 }
 
+// The fix round's charge: every item of a leading run that continues an
+// earlier part's run ships one unit to the run's home part.
+template <typename Key>
+std::vector<std::int64_t> FixRoundReceived(const KeyRunSummary<Key>& runs) {
+  const size_t parts = runs.head_home.size();
+  std::vector<std::int64_t> received(parts, 0);
+  for (size_t s = 0; s < parts; ++s) {
+    if (runs.nonempty[s] != 0 && runs.head_home[s] != static_cast<int>(s)) {
+      received[static_cast<size_t>(runs.head_home[s])] += runs.leading_len[s];
+    }
+  }
+  return received;
+}
+
 }  // namespace internal_primitives
 
 // --- Sorting [Goodrich '99] -------------------------------------------------
@@ -357,14 +359,6 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
   // identical to the old per-item walk (each moved tuple charges one unit
   // to the run's home).
   const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    const size_t idx = static_cast<size_t>(s);
-    if (runs.nonempty[idx] != 0 && runs.head_home[idx] != s) {
-      received[static_cast<size_t>(runs.head_home[idx])] +=
-          runs.leading_len[idx];
-    }
-  }
   Dist<T> out(num_parts);
   ParallelFor(num_parts, [&](int t) {
     const size_t tdx = static_cast<size_t>(t);
@@ -399,7 +393,7 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
                      runs.leading_len[static_cast<size_t>(s)]));
     }
   });
-  cluster.ChargeRound(received);
+  cluster.ChargeRound(internal_primitives::FixRoundReceived(runs));
   return out;
 }
 
@@ -472,14 +466,6 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
       }
     }
   });
-  std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
-  for (int s = 0; s < num_parts; ++s) {
-    const size_t idx = static_cast<size_t>(s);
-    if (runs.nonempty[idx] != 0 && runs.head_home[idx] != s) {
-      received[static_cast<size_t>(runs.head_home[idx])] +=
-          runs.leading_len[idx];
-    }
-  }
   Dist<T> out(num_parts);
   ParallelFor(num_parts, [&](int t) {
     const size_t tdx = static_cast<size_t>(t);
@@ -506,7 +492,7 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
       if (!(runs.first_key[sdx] == runs.last_key[sdx])) break;
     }
   });
-  cluster.ChargeRound(received);
+  cluster.ChargeRound(internal_primitives::FixRoundReceived(runs));
   return out;
 }
 

@@ -79,10 +79,6 @@ struct ExecutionOptions {
   // onto the Yannakakis baseline. 0 = off.
   double load_budget_factor = 0;
   int max_attempts = 8;  // dispatch attempts before giving up (CHECK)
-  // Simulated exponential backoff before each crash replay, in rounds:
-  // base, 2·base, ... capped at backoff_cap. Recorded, never slept.
-  std::int64_t backoff_base = 1;
-  std::int64_t backoff_cap = 16;
   // When set, every successful execution records a predicted-vs-measured
   // sample (strictly read-only: recording never changes outputs or
   // charged loads). Not owned.
@@ -295,7 +291,9 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
 
   RecoveryReport& report = plan->recovery;
   Algorithm algo = plan->chosen;
-  std::int64_t backoff = options.backoff_base;
+  // Simulated exponential backoff before each crash replay, in rounds:
+  // 1, 2, 4, ... capped at 16. Recorded, never slept.
+  std::int64_t backoff = 1;
   // How many rounds the next replay may fast-forward over (the latest
   // interval checkpoint's coverage, read at crash time). Round snapshots
   // are algorithm-specific, so a re-planned algorithm always restarts from
@@ -378,7 +376,7 @@ StatusOr<DistRelation<S>> TryExecuteWithRecovery(
         }
       } else {
         report.backoff_total += backoff;
-        backoff = std::min(options.backoff_cap, backoff * 2);
+        backoff = std::min<std::int64_t>(16, backoff * 2);
         if (options.resume_from_checkpoint) {
           resume_rounds = cluster.checkpointed_rounds();
         }

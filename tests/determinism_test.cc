@@ -46,6 +46,7 @@ struct PrimitiveTrace {
   std::vector<std::vector<KV>> sorted;
   std::vector<std::vector<KV>> grouped;
   std::vector<std::vector<KV>> exchanged;
+  std::vector<std::vector<KV>> exchanged_multi;
   std::vector<std::vector<KV>> reduced;
   mpc::Cluster::Stats stats;
 };
@@ -64,11 +65,17 @@ PrimitiveTrace RunPrimitives(int threads) {
   trace.grouped = mpc::SortGroupedByKey(c, input, [](const KV& kv) {
                     return kv.first;
                   }).parts();
-  trace.exchanged = mpc::Exchange(c, input, p, [p](const KV& kv) {
-                      return static_cast<int>(
-                          Mix64(static_cast<std::uint64_t>(kv.first)) %
-                          static_cast<std::uint64_t>(p));
-                    }).parts();
+  const auto route = [p](const KV& kv) {
+    return static_cast<int>(Mix64(static_cast<std::uint64_t>(kv.first)) %
+                            static_cast<std::uint64_t>(p));
+  };
+  trace.exchanged = mpc::Exchange(c, input, p, route).parts();
+  // One destination per item: the shared routing core must deliver
+  // exactly what Exchange delivers.
+  trace.exchanged_multi =
+      mpc::ExchangeMulti(c, input, p, [&](const KV& kv, std::vector<int>* d) {
+        d->push_back(route(kv));
+      }).parts();
   trace.reduced = mpc::ReduceByKey(
                       c, input, [](const KV& kv) { return kv.first; },
                       [](KV* acc, const KV& kv) { acc->second += kv.second; })
@@ -80,11 +87,14 @@ PrimitiveTrace RunPrimitives(int threads) {
 TEST(DeterminismTest, PrimitivesMatchSequentialBitForBit) {
   ThreadOverrideGuard guard;
   const PrimitiveTrace sequential = RunPrimitives(1);
+  EXPECT_EQ(sequential.exchanged_multi, sequential.exchanged);
   for (int threads : {2, 3, 4, 7, 8}) {
     const PrimitiveTrace threaded = RunPrimitives(threads);
     EXPECT_EQ(threaded.sorted, sequential.sorted) << "threads=" << threads;
     EXPECT_EQ(threaded.grouped, sequential.grouped) << "threads=" << threads;
     EXPECT_EQ(threaded.exchanged, sequential.exchanged)
+        << "threads=" << threads;
+    EXPECT_EQ(threaded.exchanged_multi, sequential.exchanged)
         << "threads=" << threads;
     EXPECT_EQ(threaded.reduced, sequential.reduced) << "threads=" << threads;
     EXPECT_EQ(threaded.stats.rounds, sequential.stats.rounds);

@@ -714,6 +714,28 @@ TEST(StragglerRebalanceTest, ThresholdShipsLoadAndBoundsCriticalPath) {
             "rebalance at round 2: shipped 10 tuple(s) off server " +
                 std::to_string(events[1].server));
   EXPECT_EQ(events[1].moved, 10);
+
+  // p = 50 leaves 49 recipients. Every server holds the same load, so the
+  // victim's identity does not matter: 49 tuples ship one to each
+  // recipient (a floating-point share of 49 * (1/49) can truncate to 0)
+  // and 98 ship two to each.
+  for (const std::int64_t load : {std::int64_t{49}, std::int64_t{98}}) {
+    SCOPED_TRACE("victim load " + std::to_string(load));
+    const std::int64_t per_recipient = load / 49;
+    mpc::Cluster wide(50);
+    wide.EnableFaults(config);
+    wide.SetStraggleThreshold(4.0);
+    wide.ChargeRound(std::vector<std::int64_t>(50, load));
+    EXPECT_EQ(wide.stats().rebalances, 1);
+    EXPECT_EQ(wide.stats().rebalance_comm, load);
+    EXPECT_EQ(wide.stats().recovery_comm, load);
+    EXPECT_EQ(wide.stats().critical_path,
+              (load + per_recipient) + per_recipient);
+    const std::vector<mpc::EventRecord> wide_events = wide.TakeEvents();
+    ASSERT_EQ(wide_events.size(), 2u);
+    EXPECT_STREQ(wide_events[1].kind, "rebalance");
+    EXPECT_EQ(wide_events[1].moved, load);
+  }
 }
 
 TEST(StragglerRebalanceTest, BelowThresholdStaysPassive) {

@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "parjoin/common/hash.h"
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/common/random.h"
 #include "parjoin/mpc/cluster.h"
@@ -22,6 +24,11 @@
 namespace parjoin {
 namespace mpc {
 namespace {
+
+// Restores the default thread count when a test exits.
+struct ThreadOverrideGuard {
+  ~ThreadOverrideGuard() { SetParallelForThreads(0); }
+};
 
 TEST(ClusterTest, ChargeRoundTracksMaxAndTotal) {
   Cluster c(4);
@@ -86,6 +93,67 @@ TEST(ExchangeTest, MultiReplicates) {
   EXPECT_EQ(out.part(1).size(), 0u);
   EXPECT_EQ(out.part(2).size(), 3u);
   EXPECT_EQ(c.stats().max_load, 3);
+}
+
+TEST(ExchangeTest, MultiWithOneDestinationMatchesExchange) {
+  // Exchange and ExchangeMulti share one routing core: given one
+  // destination per item they must deliver the same parts and charge the
+  // same ledger — on the sequential walk (few items or one thread), on the
+  // threaded bucket path, and through the retransmit path of an armed
+  // corruption fault. 11 destinations on 8 servers adds virtual servers.
+  ThreadOverrideGuard guard;
+  const int p = 8;
+  const int dests = 11;
+  const auto route = [dests](std::int64_t x) {
+    return static_cast<int>(Mix64(static_cast<std::uint64_t>(x)) %
+                            static_cast<std::uint64_t>(dests));
+  };
+  for (std::int64_t n :
+       {std::int64_t{500}, 4 * internal_exchange::kMinItemsForThreadedRoute}) {
+    for (int threads : {1, 4}) {
+      for (bool corrupt : {false, true}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                     std::to_string(threads) +
+                     " corrupt=" + std::to_string(corrupt));
+        SetParallelForThreads(threads);
+        std::vector<std::int64_t> items(static_cast<size_t>(n));
+        std::iota(items.begin(), items.end(), 0);
+        const Dist<std::int64_t> in = ScatterEvenly(items, p);
+        const auto run = [&](auto exchange) {
+          Cluster c(p);
+          if (corrupt) {
+            FaultConfig faults;
+            faults.enabled = true;
+            faults.crashes = 0;
+            faults.stragglers = 0;
+            faults.horizon = 1;
+            c.EnableFaults(faults);
+          }
+          Dist<std::int64_t> out = exchange(c);
+          return std::make_pair(std::move(out.parts()), c.stats());
+        };
+        const auto [single, single_stats] = run([&](Cluster& c) {
+          return Exchange(c, in, dests, route);
+        });
+        const auto [multi, multi_stats] = run([&](Cluster& c) {
+          return ExchangeMulti(c, in, dests,
+                               [&](std::int64_t x, std::vector<int>* d) {
+                                 d->push_back(route(x));
+                               });
+        });
+        EXPECT_EQ(multi, single);
+        EXPECT_EQ(multi_stats.rounds, single_stats.rounds);
+        EXPECT_EQ(multi_stats.max_load, single_stats.max_load);
+        EXPECT_EQ(multi_stats.total_comm, single_stats.total_comm);
+        EXPECT_EQ(multi_stats.critical_path, single_stats.critical_path);
+        EXPECT_EQ(multi_stats.recovery_comm, single_stats.recovery_comm);
+        EXPECT_EQ(multi_stats.retransmits, single_stats.retransmits);
+        EXPECT_EQ(single_stats.retransmits, corrupt ? 1 : 0);
+        EXPECT_EQ(single_stats.total_comm,
+                  n + single_stats.recovery_comm);
+      }
+    }
+  }
 }
 
 TEST(ExchangeTest, BroadcastDeliversEverywhere) {
@@ -372,43 +440,53 @@ TEST(MultiSearchTest, FindsPredecessors) {
 
 // --- Splitter merge ---------------------------------------------------------
 
-// Restores the default thread count when a test exits.
-struct ThreadOverrideGuard {
-  ~ThreadOverrideGuard() { SetParallelForThreads(0); }
-};
-
-TEST(SortTest, SplitterMergeMatchesPairwiseLadder) {
-  // Provenance-tagged items: keys carry many duplicates and the tag
-  // encodes (run, position), so any stability violation — a tie resolved
-  // to the wrong run, or reordering within a run — changes the output.
+TEST(SortTest, MergeSortedRunsMatchesStableSort) {
+  // The contract is the order std::stable_sort gives the run-order
+  // concatenation. Provenance-tagged items: keys carry many duplicates and
+  // the tag encodes (run, position), so any stability violation — a tie
+  // resolved to the wrong run, or reordering within a run — changes the
+  // output.
   using Tagged = std::pair<std::int64_t, std::int64_t>;
   const auto by_key = [](const Tagged& a, const Tagged& b) {
     return a.first < b.first;
   };
-  Rng rng(11);
-  std::vector<std::vector<Tagged>> runs(7);
-  for (int r = 0; r < 7; ++r) {
-    const int len = r == 3 ? 0 : 2000 + 700 * r;  // skewed, one run empty
-    auto& run = runs[static_cast<size_t>(r)];
-    for (int i = 0; i < len; ++i) {
-      run.push_back({rng.Uniform(0, 199), r * 1000000 + i});
-    }
-    std::stable_sort(run.begin(), run.end(), by_key);
-  }
-  const auto pairwise =
-      internal_primitives::MergeSortedRunsPairwise(runs, by_key);
+  struct Case {
+    std::vector<int> run_lengths;
+    std::int64_t keys;  // keys drawn from [0, keys)
+    int threads;
+  };
+  const std::vector<int> skewed = {2000, 2700, 3400, 0, 4800, 5500, 6200};
+  const std::vector<Case> cases = {
+      {skewed, 200, 4},                  // splitter chunks
+      {skewed, 200, 1},                  // one chunk: one thread
+      {{0, 300, 0, 1200, 50, 0}, 40, 4},  // one chunk: below the cutoff
+      {{5000, 0, 4000, 3000}, 1, 4},     // all keys equal, chunked
+      {{500, 0, 700}, 1, 1},             // all keys equal, one chunk
+      {{0, 0, 0}, 10, 4},                // only empty runs
+      {{}, 10, 1},                       // no runs
+  };
+  ASSERT_LT(1550, internal_primitives::kSplitterMergeMinTotal);
   ThreadOverrideGuard guard;
-  SetParallelForThreads(4);  // total > kSplitterMergeMinTotal: splitter path
-  const auto splitter = internal_primitives::MergeSortedRuns(runs, by_key);
-  ASSERT_EQ(splitter.size(), pairwise.size());
-  EXPECT_EQ(splitter, pairwise);
-  for (size_t i = 1; i < splitter.size(); ++i) {
-    ASSERT_LE(splitter[i - 1].first, splitter[i].first)
-        << "not sorted at " << i;
-    if (splitter[i - 1].first == splitter[i].first) {
-      ASSERT_LT(splitter[i - 1].second, splitter[i].second)
-          << "tie broken against run order at " << i;
+  Rng rng(11);
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    std::vector<std::vector<Tagged>> runs;
+    std::vector<Tagged> expected;
+    for (size_t r = 0; r < c.run_lengths.size(); ++r) {
+      std::vector<Tagged> run;
+      for (int i = 0; i < c.run_lengths[r]; ++i) {
+        run.push_back({rng.Uniform(0, c.keys - 1),
+                       static_cast<std::int64_t>(r) * 1000000 + i});
+      }
+      std::stable_sort(run.begin(), run.end(), by_key);
+      expected.insert(expected.end(), run.begin(), run.end());
+      runs.push_back(std::move(run));
     }
+    std::stable_sort(expected.begin(), expected.end(), by_key);
+    SetParallelForThreads(c.threads);
+    EXPECT_EQ(internal_primitives::MergeSortedRuns(std::move(runs), by_key),
+              expected)
+        << "case " << k;
   }
 }
 

@@ -8,8 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <string>
@@ -20,6 +22,7 @@
 #include "parjoin/common/logging.h"
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/common/random.h"
+#include "parjoin/common/row.h"
 #include "parjoin/common/stopwatch.h"
 #include "parjoin/common/table_printer.h"
 #include "parjoin/mpc/cluster.h"
@@ -27,6 +30,8 @@
 #include "parjoin/mpc/primitives.h"
 #include "parjoin/query/dangling.h"
 #include "parjoin/relation/ops.h"
+#include "parjoin/relation/relation.h"
+#include "parjoin/semiring/semirings.h"
 #include "parjoin/sketch/kmv.h"
 #include "parjoin/workload/generators.h"
 
@@ -50,9 +55,8 @@ void BM_Sort(benchmark::State& state) {
   auto items = MakePairs(n, n, 1);
   auto dist = mpc::ScatterEvenly(items, 64);
   for (auto _ : state) {
-    auto sorted = mpc::Sort(cluster, dist, [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    });
+    auto sorted =
+        mpc::Sort(cluster, dist, [](const auto& kv) { return kv.first; });
     benchmark::DoNotOptimize(sorted);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -125,9 +129,7 @@ void RunThreadSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
   const std::vector<std::pair<std::string, Primitive>> primitives = {
       {"sort",
        [](mpc::Cluster& c, const auto& in) {
-         auto out = mpc::Sort(c, in, [](const auto& a, const auto& b) {
-           return a.first < b.first;
-         });
+         auto out = mpc::Sort(c, in, [](const auto& kv) { return kv.first; });
          return SweepOutcome{{}, std::move(out.parts())};
        }},
       {"exchange",
@@ -202,8 +204,7 @@ void PrintLinearLoadTable() {
   {
     mpc::Cluster c(p);
     auto dist = mpc::ScatterEvenly(MakePairs(n, n, 1), p);
-    mpc::Sort(c, dist,
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    mpc::Sort(c, dist, [](const auto& kv) { return kv.first; });
     table.AddRow({"sort", Fmt(c.stats().max_load), Fmt(per),
                   Ratio(static_cast<double>(c.stats().max_load),
                         static_cast<double>(per)),
@@ -352,7 +353,159 @@ void RunMergeAblation(std::vector<bench::BenchJsonEntry>* json_entries) {
   std::cout << std::endl;
 }
 
-// (b) Directed fix-round scaling. Every source part holds the same 16
+// (b) Sort's tuple path vs the decorated sort core. The baseline is
+// mpc::Sort as it was before the decorated core: every part
+// stable-sorted in place, the tuples merged by MergeSortedRuns (so they
+// move once per ladder level), then ScatterEvenly moves them again into
+// their parts. It charges the same round as mpc::Sort.
+template <typename T, typename KeyFn>
+mpc::Dist<T> SortTuplesBaseline(mpc::Cluster& cluster, mpc::Dist<T> in,
+                                KeyFn key_fn) {
+  const auto less = [&](const T& a, const T& b) {
+    return key_fn(a) < key_fn(b);
+  };
+  ParallelFor(in.num_parts(), [&](int s) {
+    std::stable_sort(in.part(s).begin(), in.part(s).end(), less);
+  });
+  std::vector<T> all =
+      mpc::internal_primitives::MergeSortedRuns(std::move(in.parts()), less);
+  mpc::Dist<T> out = mpc::ScatterEvenly(std::move(all), cluster.p());
+  std::vector<std::int64_t> received;
+  for (const auto& part : out.parts()) {
+    received.push_back(static_cast<std::int64_t>(part.size()));
+  }
+  cluster.ChargeRound(received);
+  return out;
+}
+
+// An 8-byte key with a 144-byte item, the size of the planner's KeyedKmv
+// sketches.
+struct WideItem {
+  std::int64_t key = 0;
+  std::array<std::uint64_t, 17> payload{};
+  friend bool operator==(const WideItem&, const WideItem&) = default;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Times both paths on a fresh copy of `make()`'s input per repetition at
+// threads 1, 2 and 4, and CHECKs on the first repetition of each setting
+// that they return the same parts and charge the same ledger. Inputs are
+// rebuilt rather than kept, so at most one input and two outputs (one
+// after the first repetition) are alive at once.
+template <typename T, typename MakeFn, typename KeyFn>
+void TimeSortPaths(const std::string& payload, MakeFn make, KeyFn key_fn,
+                   std::int64_t n, int runs, TablePrinter* table,
+                   std::vector<bench::BenchJsonEntry>* json_entries) {
+  const int reps = 5;
+  for (int threads : {1, 2, 4}) {
+    SetParallelForThreads(threads);
+    std::vector<double> tuple_ms;
+    std::vector<double> decorated_ms;
+    bench::RunResult ledger;
+    for (int rep = 0; rep < reps; ++rep) {
+      mpc::Cluster base_cluster(runs);
+      mpc::Dist<T> base_in = make();
+      Stopwatch base_watch;
+      mpc::Dist<T> base_out =
+          SortTuplesBaseline(base_cluster, std::move(base_in), key_fn);
+      tuple_ms.push_back(base_watch.ElapsedMillis());
+      if (rep > 0) base_out = mpc::Dist<T>();  // only rep 0 is compared
+
+      mpc::Cluster cluster(runs);
+      mpc::Dist<T> in = make();
+      Stopwatch watch;
+      mpc::Dist<T> out = mpc::Sort(cluster, std::move(in), key_fn);
+      decorated_ms.push_back(watch.ElapsedMillis());
+      if (rep == 0) {
+        CHECK(out.parts() == base_out.parts())
+            << payload << ": sort paths disagree at threads=" << threads;
+        CHECK_EQ(cluster.stats().max_load, base_cluster.stats().max_load);
+        CHECK_EQ(cluster.stats().total_comm, base_cluster.stats().total_comm);
+        ledger.load = cluster.stats().max_load;
+        ledger.rounds = cluster.stats().rounds;
+        ledger.total_comm = cluster.stats().total_comm;
+        ledger.critical_path = cluster.stats().critical_path;
+      }
+    }
+    const double tuple_med = Median(tuple_ms);
+    const double decorated_med = Median(decorated_ms);
+    const auto range = [](const std::vector<double>& v) {
+      const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+      return Fmt(*lo) + "-" + Fmt(*hi);
+    };
+    table->AddRow({payload, Fmt(static_cast<std::int64_t>(threads)),
+                   Fmt(tuple_med), range(tuple_ms), Fmt(decorated_med),
+                   range(decorated_ms),
+                   bench::Ratio(tuple_med, decorated_med)});
+    // The median is the row; min and max ride in sibling rows.
+    const auto add_rows = [&](const std::string& path,
+                              const std::vector<double>& times) {
+      const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+      for (const auto& [suffix, wall_ms] :
+           std::initializer_list<std::pair<std::string, double>>{
+               {"", Median(times)}, {"/min", *lo}, {"/max", *hi}}) {
+        bench::BenchJsonEntry entry;
+        entry.experiment = "E6";
+        entry.name = "sort/" + path + "/" + payload +
+                     "/threads=" + std::to_string(threads) + suffix;
+        entry.n = n;
+        entry.p = runs;
+        entry.threads = threads;
+        entry.result = ledger;
+        entry.result.wall_ms = wall_ms;
+        json_entries->push_back(std::move(entry));
+      }
+    };
+    add_rows("tuple", tuple_ms);
+    add_rows("decorated", decorated_ms);
+  }
+  SetParallelForThreads(0);
+}
+
+void RunSortAblation(std::vector<bench::BenchJsonEntry>* json_entries) {
+  const std::int64_t n = 1 << 20;
+  const int runs = 64;
+  std::cout << "Sort paths (N = 2^20 in " << runs
+            << " runs, median and min-max of 5 reps; outputs and ledgers "
+               "verified identical):\n";
+  TablePrinter table({"payload", "threads", "tuple_ms", "tuple_range",
+                      "decorated_ms", "decorated_range", "speedup"});
+  TimeSortPaths<WideItem>(
+      "wide144",
+      [&] {
+        Rng rng(13);
+        std::vector<WideItem> items(static_cast<size_t>(n));
+        for (size_t i = 0; i < items.size(); ++i) {
+          items[i].key = rng.Uniform(0, n / 4);
+          items[i].payload.fill(i);  // ties stay distinguishable
+        }
+        return mpc::ScatterEvenly(std::move(items), runs);
+      },
+      [](const WideItem& item) { return item.key; }, n, runs, &table,
+      json_entries);
+  using RowTuple = Tuple<CountingSemiring>;
+  TimeSortPaths<RowTuple>(
+      "row",
+      [&] {
+        Rng rng(17);
+        std::vector<RowTuple> items(static_cast<size_t>(n));
+        for (size_t i = 0; i < items.size(); ++i) {
+          items[i].row = Row{rng.Uniform(0, 1023), rng.Uniform(0, n / 64)};
+          items[i].w = static_cast<std::int64_t>(i);
+        }
+        return mpc::ScatterEvenly(std::move(items), runs);
+      },
+      [](const RowTuple& t) -> const Row& { return t.row; }, n, runs, &table,
+      json_entries);
+  table.Print(std::cout);
+  std::cout << std::endl;
+}
+
+// (c) Directed fix-round scaling. Every source part holds the same 16
 // keys, so pre-aggregation keeps them all, each key's run spans ~p/16
 // sorted parts, and after the fix almost every part between a run's home
 // and its end is empty. The old per-item backward walk re-scanned those
@@ -409,11 +562,13 @@ void RunFixRoundSweep(std::vector<bench::BenchJsonEntry>* json_entries) {
 
 void RunE6(bool write_json) {
   bench::PrintHeader(
-      "E6", "final-merge & fix-round ablation",
-      "Pairwise ladder vs splitter multiway merge, and the "
-      "boundary-summary fix round's scaling in p.");
+      "E6", "final-merge, sort-path & fix-round ablation",
+      "Pairwise ladder vs splitter multiway merge, Sort's tuple path vs "
+      "the decorated sort core, and the boundary-summary fix round's "
+      "scaling in p.");
   std::vector<bench::BenchJsonEntry> entries;
   RunMergeAblation(&entries);
+  RunSortAblation(&entries);
   RunFixRoundSweep(&entries);
   if (!write_json) return;
   const std::string json_path = bench::BenchJsonPath();
@@ -432,7 +587,7 @@ void RunE6(bool write_json) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == std::string("--e6-only")) {
-      // CI smoke mode: just the merge/fix-round ablation and its JSON.
+      // CI smoke mode: just the E6 ablations and their JSON.
       parjoin::RunE6(/*write_json=*/true);
       return 0;
     }

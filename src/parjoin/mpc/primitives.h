@@ -10,14 +10,24 @@
 //    of rounds. Used only where the distributed-internal bookkeeping adds
 //    nothing to the measured comparison (e.g. parallel packing).
 //
+// Sorting discipline: every step that orders tuples goes through one
+// decorated sort core. Each part's items are decorated once with small
+// {key, position} slots (the key by value, or by const pointer when the
+// key projection returns a reference), the slots are sorted by (key,
+// position), and the tuples themselves move only once: into their
+// destination part (Sort) or into the pre-aggregated part (ReduceByKey).
+// Because positions are unique, (key, position) order is exactly the
+// stable order of the parts concatenated in part order.
+//
 // Threading discipline: hot loops whose iterations touch disjoint parts
-// or disjoint key ranges run under ParallelFor — local sorts and
+// or disjoint key ranges run under ParallelFor — slot sorts and
 // pre-aggregation per part, the splitter-partitioned chunks of the final
-// merge, and the per-destination emission of the fix rounds (made
-// independent by the per-part boundary summaries of SummarizeKeyRuns).
-// Key/compare/combine functors may be invoked concurrently across parts
-// and must not mutate shared state. Outputs and charged loads are
-// bit-identical for every thread count (PARJOIN_THREADS=1 included).
+// slot merge, the per-destination gather of Sort, and the
+// per-destination emission of the fix rounds (made independent by the
+// per-part boundary summaries of SummarizeKeyRuns). Key/combine functors
+// may be invoked concurrently across parts and must not mutate shared
+// state. Outputs and charged loads are bit-identical for every thread
+// count (PARJOIN_THREADS=1 included).
 
 #ifndef PARJOIN_MPC_PRIMITIVES_H_
 #define PARJOIN_MPC_PRIMITIVES_H_
@@ -220,6 +230,84 @@ std::vector<T> MergeSortedRuns(std::vector<std::vector<T>> runs, Less less) {
   return out;
 }
 
+// --- The decorated sort core -----------------------------------------------
+//
+// A slot stands for one item: its sort key and its position (part, index)
+// in the input Dist. Slots order by (key, position); positions are
+// unique, so that order is total and equals the stable order of the
+// parts concatenated in part order. A key projection that returns a
+// reference (e.g. `const Row&`) is held by const pointer into the input,
+// so slots stay small and no key is copied; any other key is held by
+// value. Either way the input must stay in place while its slots are in
+// use.
+template <typename Key, bool kByRef>
+struct KeySlot {
+  std::conditional_t<kByRef, const Key*, Key> held{};
+  std::uint64_t pos = 0;  // part << kSlotIndexBits | index
+
+  const Key& key() const {
+    if constexpr (kByRef) {
+      return *held;
+    } else {
+      return held;
+    }
+  }
+  friend bool operator<(const KeySlot& a, const KeySlot& b) {
+    if (a.key() < b.key()) return true;
+    if (b.key() < a.key()) return false;
+    return a.pos < b.pos;
+  }
+};
+
+// Field widths of KeySlot::pos: the low bits hold the index within the
+// part, the high bits the part.
+inline constexpr int kSlotIndexBits = 40;
+inline constexpr std::uint64_t kSlotIndexMask =
+    (std::uint64_t{1} << kSlotIndexBits) - 1;
+inline constexpr std::int64_t kSlotMaxParts = std::int64_t{1}
+                                              << (64 - kSlotIndexBits);
+
+template <typename T, typename KeyFn>
+using KeyResult = decltype(std::declval<KeyFn&>()(std::declval<const T&>()));
+
+template <typename T, typename KeyFn>
+using SlotFor = KeySlot<std::decay_t<KeyResult<T, KeyFn>>,
+                        std::is_lvalue_reference_v<KeyResult<T, KeyFn>>>;
+
+inline int SlotPart(std::uint64_t pos) {
+  return static_cast<int>(pos >> kSlotIndexBits);
+}
+inline size_t SlotIndex(std::uint64_t pos) {
+  return static_cast<size_t>(pos & kSlotIndexMask);
+}
+
+// Decorates part `s` of `in` and sorts its slots by (key, position): the
+// slot run of that part. A part count or part size beyond the field
+// widths would wrap a position and silently reorder ties, so both are
+// checked.
+template <typename T, typename KeyFn>
+std::vector<SlotFor<T, KeyFn>> SortedSlots(const Dist<T>& in, int s,
+                                           KeyFn& key_fn) {
+  CHECK_LE(static_cast<std::int64_t>(in.num_parts()), kSlotMaxParts)
+      << "sort input has more parts than a slot position can encode";
+  const std::vector<T>& part = in.part(s);
+  CHECK_LE(static_cast<std::uint64_t>(part.size()), kSlotIndexMask + 1)
+      << "sort input part " << s
+      << " has more items than a slot position can encode";
+  std::vector<SlotFor<T, KeyFn>> slots(part.size());
+  const std::uint64_t base = static_cast<std::uint64_t>(s) << kSlotIndexBits;
+  for (size_t i = 0; i < part.size(); ++i) {
+    if constexpr (std::is_lvalue_reference_v<KeyResult<T, KeyFn>>) {
+      slots[i].held = &key_fn(part[i]);
+    } else {
+      slots[i].held = key_fn(part[i]);
+    }
+    slots[i].pos = base | i;
+  }
+  std::sort(slots.begin(), slots.end());
+  return slots;
+}
+
 // Per-part boundary summary of a key-sorted Dist: the precomputation that
 // lets the SortGroupedByKey/ReduceByKey fix rounds emit every destination
 // part independently (and therefore threaded) instead of walking all
@@ -306,23 +394,50 @@ std::vector<std::int64_t> FixRoundReceived(const KeyRunSummary<Key>& runs) {
 // charge: each part receives its chunk (one round; the real algorithm's
 // splitter-sampling rounds move asymptotically less data).
 //
-// Execution: each part is stable-sorted locally (independent; threaded via
-// ParallelFor), then the splitter-based multiway merge rebuilds the global
-// stable order (disjoint key-range chunks merged concurrently). The
-// result — data, placement, and charged loads — is bit-identical for any
-// thread count, including the fully sequential PARJOIN_THREADS=1 path.
+// KeyFn: T -> K (K ordered by operator<). Ties keep input order: items
+// with equal keys stay in the order of the parts concatenated in part
+// order.
+//
+// Execution: the decorated sort core. Each part's {key, position} slots
+// are sorted independently (threaded via ParallelFor), the splitter-based
+// multiway merge rebuilds the global slot order (disjoint key-range
+// chunks merged concurrently), and a ParallelFor over destination parts
+// moves each tuple once, straight from its input part into part
+// rank / ceil(N/num_parts). The result — data, placement, and charged
+// loads — is bit-identical for any thread count, including the fully
+// sequential PARJOIN_THREADS=1 path.
 // Consumes its input: pass std::move(dist) to avoid copying the parts.
-template <typename T, typename Less>
-Dist<T> Sort(Cluster& cluster, Dist<T> in, Less less, int num_parts = 0) {
+template <typename T, typename KeyFn>
+Dist<T> Sort(Cluster& cluster, Dist<T> in, KeyFn key_fn, int num_parts = 0) {
   TraceScope trace(cluster, "sort");
   if (num_parts == 0) num_parts = cluster.p();
+  CHECK_GT(num_parts, 0);
+  using Slot = internal_primitives::SlotFor<T, KeyFn>;
+  std::vector<std::vector<Slot>> runs(static_cast<size_t>(in.num_parts()));
   ParallelFor(in.num_parts(), [&](int s) {
-    auto& part = in.part(s);
-    std::stable_sort(part.begin(), part.end(), less);
+    runs[static_cast<size_t>(s)] =
+        internal_primitives::SortedSlots(in, s, key_fn);
   });
-  std::vector<T> all =
-      internal_primitives::MergeSortedRuns(std::move(in.parts()), less);
-  Dist<T> out = ScatterEvenly(std::move(all), num_parts);
+  const std::vector<Slot> order = internal_primitives::MergeSortedRuns(
+      std::move(runs), [](const Slot& a, const Slot& b) { return a < b; });
+
+  // Destination t receives ranks [t·chunk, (t+1)·chunk) of the order,
+  // ScatterEvenly's placement. Every rank names a distinct input item, so
+  // the destinations move from disjoint items.
+  const std::int64_t n = static_cast<std::int64_t>(order.size());
+  const std::int64_t chunk = (n + num_parts - 1) / num_parts;
+  Dist<T> out(num_parts);
+  ParallelFor(num_parts, [&](int t) {
+    const std::int64_t begin = std::min(n, t * chunk);
+    const std::int64_t end = std::min(n, begin + chunk);
+    auto& dst = out.part(t);
+    dst.reserve(static_cast<size_t>(end - begin));
+    for (std::int64_t r = begin; r < end; ++r) {
+      const std::uint64_t pos = order[static_cast<size_t>(r)].pos;
+      dst.push_back(std::move(in.part(internal_primitives::SlotPart(pos))
+                                  [internal_primitives::SlotIndex(pos)]));
+    }
+  });
   std::vector<std::int64_t> received(static_cast<size_t>(num_parts), 0);
   for (int s = 0; s < num_parts; ++s) {
     received[static_cast<size_t>(s)] =
@@ -345,10 +460,7 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
                          int num_parts = 0) {
   TraceScope trace(cluster, "sort_grouped");
   if (num_parts == 0) num_parts = cluster.p();
-  Dist<T> sorted = Sort(
-      cluster, std::move(in),
-      [&](const T& a, const T& b) { return key_fn(a) < key_fn(b); },
-      num_parts);
+  Dist<T> sorted = Sort(cluster, std::move(in), key_fn, num_parts);
 
   // Fix round: a key run that starts in part s is moved entirely to part
   // s. The boundary summary pins down every move — only a part's leading
@@ -408,8 +520,15 @@ Dist<T> SortGroupedByKey(Cluster& cluster, Dist<T> in, KeyFn key_fn,
 // CombineFn:  (T* accumulator, const T& item) merges item into accumulator.
 //             Must be associative: the fix round folds each part locally
 //             before merging run continuations into the run's home part.
+//             Each key's items combine left to right in input order.
 //
-// This overload consumes its input (the parts are sorted in place during
+// Execution: each part's items are folded in the order of its sorted
+// {key, position} slots (the decorated sort core; no tuple is sorted),
+// the pre-aggregated parts go through Sort, and the fix round folds every
+// sorted part in place and hands it on as the output part. Threaded per
+// part throughout; bit-identical for any thread count.
+//
+// This overload consumes its input (items are moved out during
 // pre-aggregation); pass std::move(dist) to select it. A copying overload
 // for callers that still need the input follows below.
 template <typename T, typename KeyFn, typename CombineFn>
@@ -418,17 +537,22 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
   TraceScope trace(cluster, "reduce_by_key");
   if (num_parts == 0) num_parts = cluster.p();
 
-  // Local pre-aggregation: sort each part by key in place, combine
-  // adjacent equals. Parts are independent, so the pass is threaded.
+  // Local pre-aggregation: decorate and sort each part's slots, then fold
+  // the items in slot order — adjacent equal keys combine left to right
+  // in input order, and each item moves at most once. Parts are
+  // independent, so the pass is threaded.
   Dist<T> pre(in.num_parts());
   ParallelFor(in.num_parts(), [&](int s) {
+    const auto slots = internal_primitives::SortedSlots(in, s, key_fn);
     auto& local = in.part(s);
-    std::stable_sort(local.begin(), local.end(),
-                     [&](const T& a, const T& b) {
-                       return key_fn(a) < key_fn(b);
-                     });
     auto& out_part = pre.part(s);
-    for (auto& item : local) {
+    size_t distinct = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      if (i == 0 || slots[i - 1].key() < slots[i].key()) ++distinct;
+    }
+    out_part.reserve(distinct);
+    for (const auto& slot : slots) {
+      T& item = local[internal_primitives::SlotIndex(slot.pos)];
       if (!out_part.empty() && key_fn(out_part.back()) == key_fn(item)) {
         combine(&out_part.back(), item);
       } else {
@@ -440,60 +564,57 @@ Dist<T> ReduceByKey(Cluster& cluster, Dist<T>&& in, KeyFn key_fn,
   });
 
   // Global sort of pre-aggregated items.
-  Dist<T> sorted = Sort(
-      cluster, std::move(pre),
-      [&](const T& a, const T& b) { return key_fn(a) < key_fn(b); },
-      num_parts);
+  Dist<T> sorted = Sort(cluster, std::move(pre), key_fn, num_parts);
 
-  // Fix round. Fold each part locally (adjacent equals combine left to
-  // right; threaded, parts are independent), then use the boundary
-  // summary to emit every destination independently: destination t keeps
-  // its folded items — minus a leading entry whose run started earlier —
-  // and absorbs the folded leading entries of the later parts homed at t,
-  // in part order. The charge is identical to the old per-item walk:
-  // every raw item of a leading run that continues an earlier part's run
-  // ships one unit to the run's home.
+  // Fix round, in place. First every part folds its items (adjacent
+  // equals combine left to right; threaded, parts are independent). A
+  // leading run that continues an earlier part's run folds into lead[s]
+  // instead, and the rest of the part compacts to its front. Then every
+  // run home absorbs the lead entries of the later parts homed at it, in
+  // part order: destinations write only their own last item and read
+  // only lead entries, so this pass is threaded too. The charge: every
+  // raw item of a leading run that continues an earlier part's run ships
+  // one unit to the run's home.
   const auto runs = internal_primitives::SummarizeKeyRuns(sorted, key_fn);
-  Dist<T> folded(num_parts);
+  Dist<T> lead(num_parts);  // at most one item per part
   ParallelFor(num_parts, [&](int s) {
-    auto& src = sorted.part(s);
-    auto& dst = folded.part(s);
-    for (auto& item : src) {
-      if (!dst.empty() && key_fn(dst.back()) == key_fn(item)) {
-        combine(&dst.back(), item);
-      } else {
-        dst.push_back(std::move(item));
+    const size_t sdx = static_cast<size_t>(s);
+    auto& items = sorted.part(s);
+    size_t i = 0;
+    if (runs.nonempty[sdx] != 0 && runs.head_home[sdx] != s) {
+      auto& acc = lead.part(s);
+      acc.push_back(std::move(items[0]));
+      for (i = 1; i < static_cast<size_t>(runs.leading_len[sdx]); ++i) {
+        combine(&acc.back(), items[i]);
       }
     }
+    size_t kept = 0;
+    for (; i < items.size(); ++i) {
+      if (kept > 0 && key_fn(items[kept - 1]) == key_fn(items[i])) {
+        combine(&items[kept - 1], items[i]);
+      } else {
+        if (kept != i) items[kept] = std::move(items[i]);
+        ++kept;
+      }
+    }
+    items.erase(items.begin() + static_cast<std::ptrdiff_t>(kept),
+                items.end());
   });
-  Dist<T> out(num_parts);
   ParallelFor(num_parts, [&](int t) {
-    const size_t tdx = static_cast<size_t>(t);
-    if (runs.nonempty[tdx] == 0) return;
-    auto& src = folded.part(t);
-    const size_t keep_from = runs.head_home[tdx] != t ? 1 : 0;
-    if (keep_from >= src.size()) return;  // part fully forwarded
-    auto& dst = out.part(t);
-    dst.reserve(src.size() - keep_from);
-    dst.insert(dst.end(),
-               std::make_move_iterator(src.begin() +
-                                       static_cast<std::ptrdiff_t>(
-                                           keep_from)),
-               std::make_move_iterator(src.end()));
-    // Absorb run continuations: the folded leading entry of every later
-    // part homed here (their forwarded entry 0, untouched by their own
-    // emission — the slices are disjoint). Same chain walk as
-    // SortGroupedByKey: O(p) total across destinations.
+    auto& dst = sorted.part(t);
+    if (dst.empty()) return;  // fully forwarded; no later part homes here
+    // Same chain walk as SortGroupedByKey: O(p) total across
+    // destinations.
     for (int s = t + 1; s < num_parts; ++s) {
       const size_t sdx = static_cast<size_t>(s);
       if (runs.nonempty[sdx] == 0) continue;
       if (runs.head_home[sdx] != t) break;
-      combine(&dst.back(), folded.part(s).front());
+      combine(&dst.back(), lead.part(s).front());
       if (!(runs.first_key[sdx] == runs.last_key[sdx])) break;
     }
   });
   cluster.ChargeRound(internal_primitives::FixRoundReceived(runs));
-  return out;
+  return sorted;
 }
 
 // Copying overload: keeps the caller's Dist intact at the price of one

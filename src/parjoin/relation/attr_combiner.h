@@ -76,7 +76,7 @@ CombinedRelation<S> CombineAttrs(mpc::Cluster& cluster,
     }
   }
   mpc::Dist<Row> sorted = mpc::Sort(
-      cluster, std::move(keys), [](const Row& a, const Row& b) { return a < b; },
+      cluster, std::move(keys), [](const Row& r) -> const Row& { return r; },
       p);
   cluster.ChargeUniformRound(1);  // prefix-sum of per-part distinct counts
 

@@ -115,6 +115,7 @@ OutEstimate EstimateChainOut(mpc::Cluster& cluster,
       CHECK_GE(val_pos, 0);
       mpc::Dist<KeyedKmv> seeded(rel.data.num_parts());
       for (int s = 0; s < rel.data.num_parts(); ++s) {
+        seeded.part(s).reserve(rel.data.part(s).size());
         for (const auto& t : rel.data.part(s)) {
           KeyedKmv kk;
           kk.key = t.row[key_pos];
@@ -158,6 +159,8 @@ OutEstimate EstimateChainOut(mpc::Cluster& cluster,
         std::unordered_map<Value, const Kmv*> lookup;
         lookup.reserve(sk_parted.part(s).size());
         for (const auto& kk : sk_parted.part(s)) lookup[kk.key] = &kk.kmv;
+        // At most one sketch per tuple (fewer when tuples dangle).
+        emitted.part(s).reserve(rel_parted.part(s).size());
         for (const auto& t : rel_parted.part(s)) {
           auto it = lookup.find(t.row[next_pos]);
           if (it == lookup.end()) continue;  // dangling tuple

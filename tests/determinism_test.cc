@@ -4,6 +4,7 @@
 // sequential PARJOIN_THREADS=1 path. SetParallelForThreads lets one
 // process compare the two directly.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -27,6 +28,16 @@ namespace {
 
 using KV = std::pair<std::int64_t, std::int64_t>;
 
+// A 144-byte item, the size of the planner's KeyedKmv sketches: the
+// payloads the decorated sort moves once instead of through every merge
+// level.
+struct Wide {
+  std::int64_t key = 0;
+  std::array<std::uint64_t, 17> payload{};
+  friend bool operator==(const Wide&, const Wide&) = default;
+};
+static_assert(sizeof(Wide) == 144);
+
 // Restores the default thread count when a test exits.
 struct ThreadOverrideGuard {
   ~ThreadOverrideGuard() { SetParallelForThreads(0); }
@@ -48,6 +59,9 @@ struct PrimitiveTrace {
   std::vector<std::vector<KV>> exchanged;
   std::vector<std::vector<KV>> exchanged_multi;
   std::vector<std::vector<KV>> reduced;
+  std::vector<std::vector<Wide>> wide_sorted;
+  std::vector<std::vector<Wide>> wide_grouped;
+  std::vector<std::vector<Wide>> wide_reduced;
   mpc::Cluster::Stats stats;
 };
 
@@ -59,9 +73,8 @@ PrimitiveTrace RunPrimitives(int threads) {
   mpc::Dist<KV> input = MakeInput(1 << 15, 1 << 10, p);
 
   PrimitiveTrace trace;
-  trace.sorted = mpc::Sort(c, input, [](const KV& a, const KV& b) {
-                   return a.first < b.first;
-                 }).parts();
+  trace.sorted =
+      mpc::Sort(c, input, [](const KV& kv) { return kv.first; }).parts();
   trace.grouped = mpc::SortGroupedByKey(c, input, [](const KV& kv) {
                     return kv.first;
                   }).parts();
@@ -80,6 +93,27 @@ PrimitiveTrace RunPrimitives(int threads) {
                       c, input, [](const KV& kv) { return kv.first; },
                       [](KV* acc, const KV& kv) { acc->second += kv.second; })
                       .parts();
+
+  mpc::Dist<Wide> wide(p);
+  for (int s = 0; s < p; ++s) {
+    for (const KV& kv : input.part(s)) {
+      Wide w;
+      w.key = kv.first;
+      for (size_t i = 0; i < w.payload.size(); ++i) {
+        w.payload[i] = static_cast<std::uint64_t>(kv.second) + i;
+      }
+      wide.part(s).push_back(w);
+    }
+  }
+  const auto wide_key = [](const Wide& w) { return w.key; };
+  trace.wide_sorted = mpc::Sort(c, wide, wide_key).parts();
+  trace.wide_grouped = mpc::SortGroupedByKey(c, wide, wide_key).parts();
+  trace.wide_reduced =
+      mpc::ReduceByKey(c, wide, wide_key, [](Wide* acc, const Wide& w) {
+        for (size_t i = 0; i < w.payload.size(); ++i) {
+          acc->payload[i] = acc->payload[i] * 1000003 + w.payload[i];
+        }
+      }).parts();
   trace.stats = c.stats();
   return trace;
 }
@@ -97,6 +131,12 @@ TEST(DeterminismTest, PrimitivesMatchSequentialBitForBit) {
     EXPECT_EQ(threaded.exchanged_multi, sequential.exchanged)
         << "threads=" << threads;
     EXPECT_EQ(threaded.reduced, sequential.reduced) << "threads=" << threads;
+    EXPECT_EQ(threaded.wide_sorted, sequential.wide_sorted)
+        << "threads=" << threads;
+    EXPECT_EQ(threaded.wide_grouped, sequential.wide_grouped)
+        << "threads=" << threads;
+    EXPECT_EQ(threaded.wide_reduced, sequential.wide_reduced)
+        << "threads=" << threads;
     EXPECT_EQ(threaded.stats.rounds, sequential.stats.rounds);
     EXPECT_EQ(threaded.stats.max_load, sequential.stats.max_load);
     EXPECT_EQ(threaded.stats.total_comm, sequential.stats.total_comm);

@@ -17,9 +17,11 @@
 #include "parjoin/common/hash.h"
 #include "parjoin/common/parallel_for.h"
 #include "parjoin/common/random.h"
+#include "parjoin/common/row.h"
 #include "parjoin/mpc/cluster.h"
 #include "parjoin/mpc/dist.h"
 #include "parjoin/mpc/exchange.h"
+#include "parjoin/relation/relation.h"
 
 namespace parjoin {
 namespace mpc {
@@ -197,7 +199,7 @@ TEST(SortTest, GloballySortsAndBalances) {
   for (int i = 0; i < 1000; ++i) items.push_back(rng.Uniform(0, 500));
   Dist<std::int64_t> in = ScatterEvenly(items, 8);
   Dist<std::int64_t> out =
-      Sort(c, in, [](std::int64_t a, std::int64_t b) { return a < b; });
+      Sort(c, in, [](std::int64_t v) { return v; });
   EXPECT_EQ(out.TotalSize(), 1000);
   std::vector<std::int64_t> flat = out.Flatten();
   EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end()));
@@ -490,6 +492,250 @@ TEST(SortTest, MergeSortedRunsMatchesStableSort) {
   }
 }
 
+// --- Decorated sort core vs a stable-sort oracle ----------------------------
+//
+// Sort, SortGroupedByKey and ReduceByKey must equal what std::stable_sort
+// of the parts concatenated in part order gives, and ReduceByKey must
+// combine each key's items left to right in that order. SeqHash is the
+// hash of a sequence of ids: Concat(SeqOf(a), SeqOf(b)) is
+// a * 1000003 + b, and Concat is associative (as ReduceByKey requires)
+// but not commutative, so any change in fold order changes the result.
+
+struct SeqHash {
+  std::uint64_t h = 0;
+  std::uint64_t pw = 1;  // 1000003^(ids hashed)
+  friend bool operator==(const SeqHash&, const SeqHash&) = default;
+};
+
+SeqHash SeqOf(std::uint64_t id) { return {id, 1000003}; }
+
+SeqHash Concat(const SeqHash& a, const SeqHash& b) {
+  return {a.h * b.pw + b.h, a.pw * b.pw};
+}
+
+// Weights of Tuple<SeqSemiring> carry the SeqHash; ⊕ is Concat. (Not a
+// commutative semiring: only a carrier that makes fold order visible.)
+struct SeqSemiring {
+  using ValueType = SeqHash;
+  static SeqHash Zero() { return {}; }
+  static SeqHash One() { return {}; }
+  static SeqHash Plus(SeqHash a, SeqHash b) { return Concat(a, b); }
+  static SeqHash Times(SeqHash a, SeqHash b) { return Concat(a, b); }
+  static constexpr bool kIdempotentPlus = false;
+  static constexpr const char* kName = "seq";
+};
+
+// Key returned by value.
+struct ValueItem {
+  Value key = 0;
+  SeqHash seq;
+  friend bool operator==(const ValueItem&, const ValueItem&) = default;
+};
+Value ValueItemKey(const ValueItem& x) { return x.key; }
+void ConcatValueItem(ValueItem* acc, const ValueItem& x) {
+  acc->seq = Concat(acc->seq, x.seq);
+}
+
+// Key returned by reference: the const Row& of a Tuple.
+using SeqTuple = Tuple<SeqSemiring>;
+const Row& SeqTupleKey(const SeqTuple& t) { return t.row; }
+void ConcatSeqTuple(SeqTuple* acc, const SeqTuple& t) {
+  acc->w = SeqSemiring::Plus(acc->w, t.w);
+}
+
+template <typename T, typename KeyFn, typename CombineFn>
+struct StableOracle {
+  std::vector<std::vector<T>> sorted;
+  std::vector<std::vector<T>> grouped;
+  std::vector<std::vector<T>> reduced;
+
+  StableOracle(const std::vector<std::vector<T>>& input, int num_parts,
+               KeyFn key_fn, CombineFn combine) {
+    const auto by_key = [&](const T& a, const T& b) {
+      return key_fn(a) < key_fn(b);
+    };
+    std::vector<T> all;
+    for (const auto& part : input) {
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    std::stable_sort(all.begin(), all.end(), by_key);
+    sorted = ScatterEvenly(all, num_parts).parts();
+
+    // Equal-key runs [begin, end) of a key-sorted vector.
+    const auto runs_of = [&](const std::vector<T>& v) {
+      std::vector<std::pair<size_t, size_t>> runs;
+      for (size_t i = 0; i < v.size();) {
+        size_t j = i + 1;
+        while (j < v.size() && !by_key(v[i], v[j])) ++j;
+        runs.emplace_back(i, j);
+        i = j;
+      }
+      return runs;
+    };
+    const auto chunk_of = [num_parts](size_t n) {
+      return std::max<size_t>(1, (n + static_cast<size_t>(num_parts) - 1) /
+                                     static_cast<size_t>(num_parts));
+    };
+
+    // Grouped: every run moves to the part holding its first item.
+    grouped.resize(static_cast<size_t>(num_parts));
+    for (const auto& [begin, end] : runs_of(all)) {
+      auto& home = grouped[begin / chunk_of(all.size())];
+      home.insert(home.end(), all.begin() + static_cast<std::ptrdiff_t>(begin),
+                  all.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+
+    // Reduced: one item per key, its items folded left to right in stable
+    // order, placed where the key's run of per-part pre-aggregated entries
+    // begins.
+    std::vector<T> pre;
+    for (const auto& part : input) {
+      std::vector<T> local = part;
+      std::stable_sort(local.begin(), local.end(), by_key);
+      for (const auto& [begin, end] : runs_of(local)) {
+        pre.push_back(local[begin]);
+      }
+    }
+    std::stable_sort(pre.begin(), pre.end(), by_key);
+    const auto pre_runs = runs_of(pre);
+    const auto all_runs = runs_of(all);
+    EXPECT_EQ(pre_runs.size(), all_runs.size());
+    reduced.resize(static_cast<size_t>(num_parts));
+    for (size_t k = 0; k < all_runs.size() && k < pre_runs.size(); ++k) {
+      T acc = all[all_runs[k].first];
+      for (size_t i = all_runs[k].first + 1; i < all_runs[k].second; ++i) {
+        combine(&acc, all[i]);
+      }
+      reduced[pre_runs[k].first / chunk_of(pre.size())].push_back(acc);
+    }
+  }
+};
+
+template <typename T, typename KeyFn, typename CombineFn>
+void ExpectDecoratedMatchesOracle(const std::vector<std::vector<T>>& input,
+                                  int p, int num_parts, KeyFn key_fn,
+                                  CombineFn combine, const std::string& label) {
+  ThreadOverrideGuard guard;
+  const StableOracle<T, KeyFn, CombineFn> oracle(
+      input, num_parts == 0 ? p : num_parts, key_fn, combine);
+  std::vector<Cluster::Stats> first;
+  for (int threads : {1, 4}) {
+    SetParallelForThreads(threads);
+    const std::string where = label + " threads=" + std::to_string(threads);
+    std::vector<Cluster::Stats> stats(3, Cluster::Stats{});
+    {
+      Cluster c(p);
+      EXPECT_EQ(Sort(c, Dist<T>(input), key_fn, num_parts).parts(),
+                oracle.sorted)
+          << "Sort: " << where;
+      stats[0] = c.stats();
+    }
+    {
+      Cluster c(p);
+      EXPECT_EQ(SortGroupedByKey(c, Dist<T>(input), key_fn, num_parts).parts(),
+                oracle.grouped)
+          << "SortGroupedByKey: " << where;
+      stats[1] = c.stats();
+    }
+    {
+      Cluster c(p);
+      EXPECT_EQ(
+          ReduceByKey(c, Dist<T>(input), key_fn, combine, num_parts).parts(),
+          oracle.reduced)
+          << "ReduceByKey: " << where;
+      stats[2] = c.stats();
+    }
+    if (first.empty()) {
+      first = stats;
+      continue;
+    }
+    for (size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(stats[i].rounds, first[i].rounds) << where;
+      EXPECT_EQ(stats[i].max_load, first[i].max_load) << where;
+      EXPECT_EQ(stats[i].total_comm, first[i].total_comm) << where;
+      EXPECT_EQ(stats[i].critical_path, first[i].critical_path) << where;
+    }
+  }
+}
+
+// Runs one input shape through both key kinds. Item i of the shape gets
+// key keys[i] and the id i, so ties are told apart by where they started.
+void ExpectShapeWithBothKeyKinds(const std::vector<std::vector<Value>>& keys,
+                                 int p, int num_parts,
+                                 const std::string& label) {
+  std::vector<std::vector<ValueItem>> by_value;
+  std::vector<std::vector<SeqTuple>> by_row;
+  std::uint64_t id = 0;
+  for (const auto& part : keys) {
+    by_value.emplace_back();
+    by_row.emplace_back();
+    for (Value k : part) {
+      by_value.back().push_back({k, SeqOf(id)});
+      by_row.back().push_back({Row{k % 3, k}, SeqOf(id)});
+      ++id;
+    }
+  }
+  ExpectDecoratedMatchesOracle(by_value, p, num_parts, ValueItemKey,
+                               ConcatValueItem, label + " (Value key)");
+  ExpectDecoratedMatchesOracle(by_row, p, num_parts, SeqTupleKey,
+                               ConcatSeqTuple, label + " (const Row& key)");
+}
+
+std::vector<std::vector<Value>> RandomKeys(const std::vector<int>& sizes,
+                                           Value distinct,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<Value>> keys;
+  for (int size : sizes) {
+    keys.emplace_back();
+    for (int i = 0; i < size; ++i) {
+      keys.back().push_back(rng.Uniform(0, distinct - 1));
+    }
+  }
+  return keys;
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleWithEmptyParts) {
+  ExpectShapeWithBothKeyKinds(RandomKeys({37, 0, 120, 5, 0, 64}, 20, 41), 6,
+                              0, "empty parts");
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleOnAllEqualKeys) {
+  ExpectShapeWithBothKeyKinds(RandomKeys({50, 50, 0, 50}, 1, 43), 4, 0,
+                              "all equal");
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleOnSinglePart) {
+  ExpectShapeWithBothKeyKinds(RandomKeys({300}, 40, 47), 1, 0,
+                              "single part");
+  ExpectShapeWithBothKeyKinds(RandomKeys({300}, 40, 53), 4, 0,
+                              "single input part");
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleWithMoreOutputParts) {
+  ExpectShapeWithBothKeyKinds(RandomKeys({90, 10, 200}, 30, 59), 4, 16,
+                              "num_parts above input parts");
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleWithFewerOutputParts) {
+  ExpectShapeWithBothKeyKinds(RandomKeys({40, 70, 0, 25, 90, 60, 5, 33}, 12,
+                                         61),
+                              8, 3, "num_parts below input parts");
+}
+
+TEST(DecoratedSortTest, MatchesStableOracleAcrossSplitterChunks) {
+  // Large enough that threads=4 merges the slot runs in splitter chunks.
+  const auto keys = RandomKeys({3000, 2500, 0, 4100, 1800}, 500, 67);
+  std::int64_t total = 0;
+  for (const auto& part : keys) total += static_cast<std::int64_t>(part.size());
+  ASSERT_GE(total, internal_primitives::kSplitterMergeMinTotal);
+  ExpectShapeWithBothKeyKinds(keys, 8, 0, "splitter chunks");
+}
+
+TEST(DecoratedSortTest, EmptyInputYieldsEmptyParts) {
+  ExpectShapeWithBothKeyKinds({{}, {}, {}}, 4, 0, "empty input");
+}
+
 // --- Zero-weight packing ----------------------------------------------------
 
 TEST(ParallelPackingTest, ZeroWeightItemsRideAlongWithoutNewGroups) {
@@ -667,7 +913,7 @@ FixOracle ComputeFixOracle(const std::vector<std::vector<KV>>& input,
 Cluster::Stats SortOnlyStats(const std::vector<std::vector<KV>>& parts, int p,
                              int num_parts) {
   Cluster c(p);
-  Sort(c, Dist<KV>(parts), KVByKey, num_parts);
+  Sort(c, Dist<KV>(parts), KeyOfKV, num_parts);
   return c.stats();
 }
 
